@@ -102,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--mc-batch", type=int, default=None, metavar="B",
                      help="cascades per vectorized kernel call, for both the "
                           "selection oracle (when accepted) and the scoring "
-                          "estimate")
+                          "estimate; scoring is batched by default "
+                          f"({diffusion.simulation.DEFAULT_MC_BATCH}), and "
+                          "--mc-batch 1 reproduces the legacy serial sigma")
     sel.add_argument("--mc-workers", type=int, default=None, metavar="N",
                      help="processes for the Monte-Carlo simulations, for both "
                           "the selection oracle (when accepted) and the "

@@ -32,10 +32,11 @@ def expand_slices(ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     total = int(ends[-1])
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    # For each slot, its offset within its row's slice, then shift by the
-    # slice start: classic CSR expansion without a Python loop.
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return np.repeat(starts, counts) + within
+    # Slot j of the output belongs to row i and sits ``j - (ends - counts)[i]``
+    # into that row's slice, so its index is ``j`` plus one per-row shift:
+    # classic CSR expansion without a Python loop, with a single repeat.
+    shift = starts - (ends - counts)
+    return np.arange(total, dtype=np.int64) + np.repeat(shift, counts)
 
 
 def gather_csr(ptr: np.ndarray, data: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -1,24 +1,19 @@
 """Batched cascade kernels: advance B independent cascades at once.
 
-The serial simulators in :mod:`independent_cascade` / :mod:`linear_threshold`
-run one cascade per call, so σ(S) estimation with ``r`` simulations costs
-``r`` Python-level BFS walks.  These kernels keep the per-cascade state in
-``B×n`` boolean matrices and, per diffusion step, do
+All ``B`` cascades live in flat ``B·n`` arrays indexed ``cascade·n + node``;
+the frontier is the sorted array of those flat ids.  Each step gathers the
+out-edges of exactly the frontier pairs and draws **one** coin per real IC
+trial in frontier order (LT: ``np.add.at`` of the trial weights), so work
+follows the trials, not ``B·n``.  Steps run in frontier slices of at most
+:data:`SLICE_TRIALS` trials to bound the working set; the output does not
+depend on the slice size.
 
-1. **one** shared CSR gather of the out-edges of the *union* frontier
-   (:func:`repro.diffusion._frontier.gather_edges`), and
-2. **one** vectorized RNG draw of shape ``B×E`` covering every
-   (cascade, frontier edge) trial,
-
-so a whole batch advances with a constant number of numpy calls per step
-regardless of ``B``.  Cascades that have already died simply contribute
-empty frontier rows; the step loop exits when every row is dead.
-
-Sample-for-sample the batched kernels draw from a different stream layout
-than the serial loops (coins are consumed edge-major across the batch),
-so batched and serial estimates agree only *distributionally* — verified
-by the KS tests in ``tests/test_spread_statistical.py``, mirroring the
-serial-vs-parallel contract of the RR engine.
+At ``B = 1`` the IC kernel reproduces :func:`simulate_ic` draw for draw; the
+LT kernel at any ``B`` reproduces ``B`` serial :func:`simulate_lt` cascades
+(each draws exactly ``n`` thresholds).  IC at ``B > 1`` agrees with serial
+IC distributionally (``tests/test_spread_statistical.py``).
+``block_coins=True`` is the batched oracle's stream: one ``B×E`` coin block
+per step over the union frontier's out-edges, read at the real trials.
 """
 
 from __future__ import annotations
@@ -29,31 +24,53 @@ from ..graph.digraph import DiGraph
 from ._frontier import gather_edges
 from .models import Dynamics
 
-__all__ = [
-    "simulate_ic_batch",
-    "simulate_lt_batch",
-    "batched_cascades",
-]
+__all__ = ["SLICE_TRIALS", "simulate_ic_batch", "simulate_lt_batch", "batched_cascades"]
+
+#: Trials per frontier slice: bounds the per-step transients.
+SLICE_TRIALS = 1 << 14
 
 
-def _tele():
-    # Lazy: a top-level framework import from diffusion would be circular
-    # (framework → runner → algorithm registry → diffusion engines).
+def _start(graph: DiGraph, seeds, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``B·n`` active mask and the sorted flat seed frontier."""
+    if batch < 1:
+        raise ValueError("batch must be positive")
+    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    frontier = (np.arange(batch, dtype=np.int64)[:, None] * graph.n + seeds).ravel()
+    active = np.zeros(batch * graph.n, dtype=bool)
+    active[frontier] = True
+    return active, frontier
+
+
+def _unique(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct ``ids`` (sort-based: cheaper than ``np.unique`` here)."""
+    ids = np.sort(ids)
+    keep = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
+def _slices(out_ptr: np.ndarray, frontier: np.ndarray, n: int):
+    """Yield ``(part, counts, eidx)`` per slice of at most :data:`SLICE_TRIALS`
+    trials (or one element): frontier ids, out-degrees, trial edges."""
+    node = frontier % n
+    counts = (out_ptr[node + 1] - out_ptr[node]).astype(np.int64, copy=False)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < frontier.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + SLICE_TRIALS, "right")))
+        if ends[hi - 1] > done:
+            yield frontier[lo:hi], counts[lo:hi], gather_edges(out_ptr, node[lo:hi])
+        lo = hi
+
+
+def _count(batch: int, steps: int) -> None:
+    # Lazy: framework → runner → registry → diffusion would be circular.
     from ..framework.telemetry import current
 
-    return current()
-
-
-def _union_frontier_edges(
-    out_ptr: np.ndarray, frontier: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(eidx, src)`` for all out-edges of nodes on any cascade's frontier."""
-    union = np.nonzero(frontier.any(axis=0))[0]
-    if union.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    eidx = gather_edges(out_ptr, union)
-    counts = out_ptr[union + 1] - out_ptr[union]
-    return eidx, np.repeat(union, counts)
+    tele = current()
+    tele.count("batched.cascades", batch)
+    tele.count("batched.frontier_steps", steps)
 
 
 def simulate_ic_batch(
@@ -61,46 +78,44 @@ def simulate_ic_batch(
     seeds: np.ndarray | list[int],
     rng: np.random.Generator,
     batch: int,
+    block_coins: bool = False,
 ) -> np.ndarray:
     """Run ``batch`` independent IC cascades; return the ``B×n`` active mask.
 
-    Per Definition 4, each edge out of a newly active node is tried exactly
-    once per cascade: a node enters a cascade's frontier only on the step
-    it activates, so its out-edges receive one coin in that cascade.
+    Per Definition 4, each edge out of a newly active node is tried once per
+    cascade: a node is on a cascade's frontier only on the step it activates.
     """
-    if batch < 1:
-        raise ValueError("batch must be positive")
-    seeds = np.asarray(seeds, dtype=np.int64)
-    active = np.zeros((batch, graph.n), dtype=bool)
-    if seeds.size == 0:
-        return active
-    active[:, seeds] = True
-    frontier = active.copy()
-    out_ptr, out_dst, out_w = graph.out_ptr, graph.out_dst, graph.out_w
+    active, frontier = _start(graph, seeds, batch)
+    n, out_ptr, out_dst, out_w = graph.n, graph.out_ptr, graph.out_dst, graph.out_w
     steps = 0
-    while True:
-        eidx, src = _union_frontier_edges(out_ptr, frontier)
-        if eidx.size == 0:
+    while frontier.size:
+        if block_coins:
+            union = _unique(frontier % n)
+            widths = out_ptr[union + 1] - out_ptr[union]
+            if not (width := int(widths.sum())):
+                break
+            block = rng.random(batch * width)
+            # Edge e of union node u sits at e + first[u] in a block row.
+            first = np.cumsum(widths) - widths - out_ptr[union]
+        hits = []
+        for part, counts, eidx in _slices(out_ptr, frontier, n):
+            if block_coins:
+                src = np.repeat(part, counts)
+                at = src // n * width + first[np.searchsorted(union, src % n)]
+                coins = block[at + eidx]
+            else:
+                coins = rng.random(eidx.size)
+            live = np.flatnonzero(coins < out_w[eidx])
+            owner = part[np.searchsorted(np.cumsum(counts), live, "right")]
+            hits.append(owner - owner % n + out_dst[eidx[live]])
+        if not hits:
             break
         steps += 1
-        dst = out_dst[eidx]
-        coins = rng.random((batch, eidx.size))
-        # A trial happens only in cascades whose frontier holds the source.
-        attempt = frontier[:, src] & (coins < out_w[eidx][None, :])
-        b_idx, e_pos = np.nonzero(attempt)
-        if b_idx.size == 0:
-            break
-        newly = np.zeros_like(active)
-        newly[b_idx, dst[e_pos]] = True
-        newly &= ~active
-        if not newly.any():
-            break
-        active |= newly
-        frontier = newly
-    tele = _tele()
-    tele.count("batched.cascades", batch)
-    tele.count("batched.frontier_steps", steps)
-    return active
+        hit = np.concatenate(hits)
+        frontier = _unique(hit[~active[hit]])
+        active[frontier] = True
+    _count(batch, steps)
+    return active.reshape(batch, n)
 
 
 def simulate_lt_batch(
@@ -113,53 +128,35 @@ def simulate_lt_batch(
     """Run ``batch`` independent LT cascades; return the ``B×n`` active mask.
 
     Each cascade draws its own threshold realization θ ~ U(0,1)^n unless
-    ``thresholds`` (shape ``B×n``) shares one across calls.  As in the
-    serial kernel, only nodes that have received in-weight are threshold
-    candidates: accumulated weight never shrinks, so checking all touched
-    nodes each step is equivalent to checking the newly touched ones.
+    ``thresholds`` (shape ``B×n``) shares one across calls.  Only nodes that
+    receive in-weight in a step can cross their threshold in it.
     """
-    if batch < 1:
-        raise ValueError("batch must be positive")
-    seeds = np.asarray(seeds, dtype=np.int64)
-    active = np.zeros((batch, graph.n), dtype=bool)
-    if seeds.size == 0:
-        return active
-    if thresholds is None:
-        theta = rng.random((batch, graph.n))
-    else:
-        theta = np.asarray(thresholds, dtype=np.float64)
-        if theta.shape != (batch, graph.n):
-            raise ValueError("thresholds must have shape (batch, n)")
-    accumulated = np.zeros((batch, graph.n), dtype=np.float64)
-    touched = np.zeros((batch, graph.n), dtype=bool)
-    active[:, seeds] = True
-    frontier = active.copy()
-    out_ptr, out_dst, out_w = graph.out_ptr, graph.out_dst, graph.out_w
-    n = graph.n
+    active, frontier = _start(graph, seeds, batch)
+    n, out_ptr, out_dst, out_w = graph.n, graph.out_ptr, graph.out_dst, graph.out_w
+    if frontier.size == 0:
+        return active.reshape(batch, n)
+    theta = rng.random((batch, n)) if thresholds is None else np.asarray(thresholds, float)
+    if theta.shape != (batch, n):
+        raise ValueError("thresholds must have shape (batch, n)")
+    theta = theta.ravel()
+    accumulated = np.zeros(batch * n, dtype=np.float64)
     steps = 0
-    while True:
-        eidx, src = _union_frontier_edges(out_ptr, frontier)
-        if eidx.size == 0:
+    while frontier.size:
+        crossed = []
+        for part, counts, eidx in _slices(out_ptr, frontier, n):
+            # The frontier holds only newly active nodes, so each active
+            # node's weight counts once per cascade.  A node's last slice
+            # in the step sees its final weight, so no crossing is missed.
+            flat = np.repeat(part - part % n, counts) + out_dst[eidx]
+            np.add.at(accumulated, flat, out_w[eidx])
+            crossed.append(flat[~active[flat] & (accumulated[flat] >= theta[flat])])
+        if not crossed:
             break
         steps += 1
-        dst = out_dst[eidx]
-        b_idx, e_pos = np.nonzero(frontier[:, src])
-        if b_idx.size == 0:
-            break
-        # Each active node's weight counts exactly once per cascade:
-        # frontier rows hold only newly active nodes.
-        flat = b_idx * n + dst[e_pos]
-        np.add.at(accumulated.ravel(), flat, out_w[eidx][e_pos])
-        touched[b_idx, dst[e_pos]] = True
-        newly = touched & ~active & (accumulated >= theta)
-        if not newly.any():
-            break
-        active |= newly
-        frontier = newly
-    tele = _tele()
-    tele.count("batched.cascades", batch)
-    tele.count("batched.frontier_steps", steps)
-    return active
+        frontier = _unique(np.concatenate(crossed))
+        active[frontier] = True
+    _count(batch, steps)
+    return active.reshape(batch, n)
 
 
 def batched_cascades(
@@ -168,10 +165,11 @@ def batched_cascades(
     dynamics: Dynamics,
     rng: np.random.Generator,
     batch: int,
+    block_coins: bool = False,
 ) -> np.ndarray:
-    """Dispatch ``batch`` cascades under the given dynamics (B×n mask)."""
+    """``batch`` cascades under ``dynamics`` (B×n mask); IC honours ``block_coins``."""
     if dynamics is Dynamics.IC:
-        return simulate_ic_batch(graph, seeds, rng, batch)
+        return simulate_ic_batch(graph, seeds, rng, batch, block_coins)
     if dynamics is Dynamics.LT:
         return simulate_lt_batch(graph, seeds, rng, batch)
     raise ValueError(f"unsupported dynamics {dynamics!r}")  # pragma: no cover

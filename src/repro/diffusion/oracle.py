@@ -49,7 +49,7 @@ import numpy as np
 from ..graph.digraph import DiGraph
 from ._frontier import gather_edges
 from .models import Dynamics, PropagationModel
-from .simulation import monte_carlo_spread
+from .simulation import DEFAULT_MC_BATCH, mc_samples, monte_carlo_spread
 from .snapshots import sample_live_masks
 
 __all__ = [
@@ -66,8 +66,6 @@ __all__ = [
 
 #: CLI / constructor spelling of each backend.
 ORACLE_BACKENDS = ("serial", "batched", "snapshot", "sketch")
-
-DEFAULT_MC_BATCH = 64
 
 #: Default entry bound for the oracle memo caches.  Generous enough that a
 #: batch selection run (at most a few k·n gain queries) never evicts — the
@@ -234,11 +232,11 @@ class SpreadOracle(abc.ABC):
 class SequentialMCOracle(SpreadOracle):
     """The historical per-cascade path: fresh MC on the caller's RNG.
 
-    Draw order is identical to the pre-oracle algorithms (one
-    ``monte_carlo_spread`` call per gain, on the shared generator), so a
-    seeded run through this backend reproduces the legacy seed sets byte
-    for byte.  Not deterministic per query — the stream advances — hence
-    never memoized.
+    Draw order is identical to the pre-oracle algorithms (one serial
+    ``monte_carlo_spread(batch=1)`` call per gain, on the shared
+    generator), so a seeded run through this backend reproduces the
+    legacy seed sets byte for byte.  Not deterministic per query — the
+    stream advances — hence never memoized.
     """
 
     name = "serial"
@@ -260,7 +258,7 @@ class SequentialMCOracle(SpreadOracle):
     def evaluate(self, nodes: Sequence[int]) -> float:
         self._tick_evaluation()
         return monte_carlo_spread(
-            self.graph, list(nodes), self.model, r=self.r, rng=self.rng
+            self.graph, list(nodes), self.model, r=self.r, rng=self.rng, batch=1
         ).mean
 
     def gain(
@@ -278,7 +276,9 @@ class BatchedMCOracle(SpreadOracle):
     seed — repeated queries agree exactly, committed-set baselines are
     cached, and the memo cache is transparent.  ``workers > 1`` reuses
     the ``SeedSequence``-spawned process pool of ``monte_carlo_spread``
-    for cross-batch parallelism.
+    for cross-batch parallelism.  IC queries draw the kernels'
+    ``block_coins`` stream (one ``B×E`` block per step over the union
+    frontier), which keeps the oracle's seed selections unchanged.
     """
 
     name = "batched"
@@ -313,15 +313,18 @@ class BatchedMCOracle(SpreadOracle):
         query_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self._entropy, spawn_key=key)
         )
-        value = monte_carlo_spread(
-            self.graph,
-            list(key),
-            self.model,
-            r=self.r,
-            rng=query_rng,
-            batch=self.batch,
-            workers=self.workers,
-        ).mean
+        value = float(
+            mc_samples(
+                self.graph,
+                list(key),
+                _dynamics_of(self.model),
+                self.r,
+                query_rng,
+                self.batch,
+                self.workers,
+                block_coins=True,
+            ).mean()
+        )
         self._tick_evaluation()
         self._sigma_cache.put(key, value)
         return value

@@ -9,11 +9,14 @@ datasets (see the Fig. 12 convergence bench).
 
 Two execution shapes are available and compose freely:
 
-* ``batch > 1`` — the simulations run through the batched multi-cascade
-  kernels (:mod:`repro.diffusion.batched`): ``ceil(r / batch)`` vectorized
-  batches instead of ``r`` Python-level cascades.
+* ``batch`` — scoring is batched by default: the simulations run through
+  the sparse multi-cascade kernels (:mod:`repro.diffusion.batched`) in
+  ``ceil(r / batch)`` batches (``batch`` defaults to
+  :data:`DEFAULT_MC_BATCH`) instead of ``r`` Python-level cascades.
+  ``batch=1`` runs the legacy serial loop and reproduces its σ draw for
+  draw.
 * ``workers > 1`` — the simulations fan out over a ``SeedSequence``-spawned
-  process pool; each worker runs its chunk serially or batched.
+  process pool; each worker runs its chunk with the same ``batch``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .linear_threshold import simulate_lt
 from .models import Dynamics, PropagationModel
 
 __all__ = [
+    "DEFAULT_MC_BATCH",
     "DEFAULT_MC_SIMULATIONS",
     "SpreadEstimate",
     "simulate_spread",
@@ -35,6 +39,9 @@ __all__ = [
 ]
 
 DEFAULT_MC_SIMULATIONS = 10_000
+
+#: Cascades per batched kernel call when ``batch`` is not given.
+DEFAULT_MC_BATCH = 64
 
 
 def _tele():
@@ -51,40 +58,41 @@ def _simulate_chunk(
     dynamics: "Dynamics",
     count: int,
     seed_sequence_state: dict,
-    batch: int = 1,
+    batch: int,
+    block_coins: bool = False,
 ) -> np.ndarray:
     """Worker for parallel MC: ``count`` independent cascades.
 
     Module-level so it pickles; the RNG is rebuilt from a spawned
     ``SeedSequence`` so parallel and serial runs draw from the same
-    well-separated streams.  ``batch > 1`` runs the chunk through the
-    batched kernels.
+    well-separated streams.  The chunk runs with the caller's ``batch``.
     """
     rng = np.random.default_rng(np.random.SeedSequence(**seed_sequence_state))
-    if batch > 1:
-        return _batched_samples(graph, seeds, dynamics, count, rng, batch)
-    out = np.empty(count, dtype=np.float64)
-    for i in range(count):
-        out[i] = simulate_spread(graph, seeds, dynamics, rng)
-    return out
+    return _local_samples(graph, seeds, dynamics, count, rng, batch, block_coins)
 
 
-def _batched_samples(
+def _local_samples(
     graph: DiGraph,
     seeds: np.ndarray | list[int],
     dynamics: Dynamics,
     r: int,
     rng: np.random.Generator,
     batch: int,
+    block_coins: bool = False,
 ) -> np.ndarray:
-    """``r`` spread samples via ceil(r / batch) multi-cascade batches."""
+    """``r`` spread samples in this process: serially at ``batch=1``,
+    otherwise via ceil(r / batch) multi-cascade batches."""
+    out = np.empty(r, dtype=np.float64)
+    if batch == 1:
+        for i in range(r):
+            out[i] = simulate_spread(graph, seeds, dynamics, rng)
+        return out
     from .batched import batched_cascades
 
-    out = np.empty(r, dtype=np.float64)
     done = 0
     while done < r:
         b = min(batch, r - done)
-        active = batched_cascades(graph, seeds, dynamics, rng, b)
+        active = batched_cascades(graph, seeds, dynamics, rng, b, block_coins)
         out[done : done + b] = active.sum(axis=1)
         done += b
     return out
@@ -144,30 +152,31 @@ def monte_carlo_spread(
     reproducible for a fixed (r, workers) pair, though they differ from
     the serial draw order.
 
-    ``batch > 1`` advances that many cascades per vectorized kernel call
-    (:mod:`repro.diffusion.batched`) instead of one cascade per Python
-    loop pass; combined with ``workers`` each worker runs its chunk
-    batched.  Batched draws differ from serial draws sample-for-sample
-    but agree distributionally (KS-tested under ``pytest -m statistical``).
+    ``batch`` cascades advance per call of the sparse multi-cascade
+    kernels (:mod:`repro.diffusion.batched`); ``None`` means
+    :data:`DEFAULT_MC_BATCH`, and with ``workers`` each worker runs its
+    chunk batched.  ``batch=1`` runs the legacy one-cascade-per-loop-pass
+    path and reproduces its σ draw for draw.  Batched IC draws differ
+    from serial ones sample-for-sample but agree distributionally
+    (KS- and SE-tested under ``pytest -m statistical``); batched LT draws
+    are identical to serial ones.
+
+    Raises ``ValueError`` when a seed id lies outside ``[0, n)``.
     """
     if r < 1:
         raise ValueError("r must be positive")
     dynamics = model.dynamics if isinstance(model, PropagationModel) else model
     rng = np.random.default_rng() if rng is None else rng
-    batch = 1 if batch is None else int(batch)
+    batch = DEFAULT_MC_BATCH if batch is None else int(batch)
     if batch < 1:
         raise ValueError("batch must be positive")
-    tele = _tele()
-    with tele.span("mc.spread"):
-        if workers is not None and workers > 1:
-            samples = _parallel_samples(graph, seeds, dynamics, r, rng, workers, batch)
-        elif batch > 1:
-            samples = _batched_samples(graph, seeds, dynamics, r, rng, batch)
-        else:
-            samples = np.empty(r, dtype=np.float64)
-            for i in range(r):
-                samples[i] = simulate_spread(graph, seeds, dynamics, rng)
-    tele.count("mc.simulations", r)
+    ids = np.asarray(seeds, dtype=np.int64)
+    outside = ids[(ids < 0) | (ids >= graph.n)]
+    if outside.size:
+        raise ValueError(
+            f"seed ids outside [0, {graph.n}): {sorted(set(outside.tolist()))}"
+        )
+    samples = mc_samples(graph, ids, dynamics, r, rng, batch, workers)
     estimate = SpreadEstimate(
         mean=float(samples.mean()),
         # ddof=1 on a single sample is 0/0 -> NaN; a lone draw carries no
@@ -180,6 +189,33 @@ def monte_carlo_spread(
     return estimate
 
 
+def mc_samples(
+    graph: DiGraph,
+    seeds: np.ndarray | list[int],
+    dynamics: Dynamics,
+    r: int,
+    rng: np.random.Generator,
+    batch: int,
+    workers: int | None = None,
+    block_coins: bool = False,
+) -> np.ndarray:
+    """The ``r`` spread samples behind :func:`monte_carlo_spread`.
+
+    Seeds are taken as valid.  ``block_coins`` selects the IC coin stream
+    of the batched spread oracle (see :mod:`repro.diffusion.batched`).
+    """
+    tele = _tele()
+    with tele.span("mc.spread"):
+        if workers is not None and workers > 1:
+            samples = _parallel_samples(
+                graph, seeds, dynamics, r, rng, workers, batch, block_coins
+            )
+        else:
+            samples = _local_samples(graph, seeds, dynamics, r, rng, batch, block_coins)
+    tele.count("mc.simulations", r)
+    return samples
+
+
 def _parallel_samples(
     graph: DiGraph,
     seeds: np.ndarray | list[int],
@@ -187,7 +223,8 @@ def _parallel_samples(
     r: int,
     rng: np.random.Generator,
     workers: int,
-    batch: int = 1,
+    batch: int,
+    block_coins: bool,
 ) -> np.ndarray:
     """Fan ``r`` simulations out over the resilient worker pool."""
     # Lazy for the same circular-import reason as _tele.
@@ -206,7 +243,7 @@ def _parallel_samples(
     # the shared-args transport (shm arena / once-per-worker pickle).
     parts = run_chunks(
         _simulate_chunk,
-        [(int(c), s, batch) for c, s in zip(chunks, states)],
+        [(int(c), s, batch, block_coins) for c, s in zip(chunks, states)],
         workers=len(chunks),
         label="mc.spread",
         shared=(graph, seed_list, dynamics),

@@ -58,7 +58,8 @@ class SweepConfig:
     #: Attempts per cell for transient FAILED/KILLED statuses.
     retries: int = 1
     #: Execution shape of the decoupled MC scoring pass: fan simulations
-    #: over a process pool and/or run them through the batched kernels.
+    #: over a process pool and/or set the batched-kernel size.  Scoring is
+    #: batched by default; ``mc_batch=1`` reproduces the legacy serial σ.
     mc_workers: int | None = None
     mc_batch: int | None = None
     #: Process-pool fan-out for the path-proxy engine's structure builds

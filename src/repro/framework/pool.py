@@ -633,11 +633,16 @@ class ResilientPool:
         """One executor generation; returns True when it collapsed."""
         cfg = self.config
         tele = _telemetry.current()
-        futures: dict[Future, int] = {
-            self._submit(executor, fn, arg_tuples, spec, attempts, i,
-                         has_shared): i
-            for i in sorted(remaining)
-        }
+        futures: dict[Future, int] = {}
+        for i in sorted(remaining):
+            try:
+                futures[self._submit(executor, fn, arg_tuples, spec, attempts,
+                                     i, has_shared)] = i
+            except (BrokenProcessPool, RuntimeError):
+                # A worker died before the generation was fully submitted
+                # (short chunks make this likely); every unfinished chunk
+                # is still in ``remaining`` and replays after respawn.
+                return True
         pending = set(futures)
         while pending:
             done, pending = wait(

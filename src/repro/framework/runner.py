@@ -120,9 +120,12 @@ class IMFramework:
     mc_workers / mc_batch:
         Execution shape of the decoupled spread estimate (Sec. 5.1's
         10K-simulation protocol): fan the simulations over a process pool
-        and/or run them through the batched multi-cascade kernels.  Both
-        are also injected into the constructor of every technique that
-        accepts them (the MC greedy family), like ``rr_workers``.
+        and/or set the batch size of the multi-cascade kernels.  Scoring
+        is batched by default (``mc_batch=None`` means
+        ``DEFAULT_MC_BATCH``); ``mc_batch=1`` reproduces the legacy serial
+        σ.  Values above 1 are also injected into the constructor of
+        every technique that accepts them (the MC greedy family), like
+        ``rr_workers``.
     spread_oracle:
         σ(S) backend name (see :data:`repro.diffusion.ORACLE_BACKENDS`)
         injected into every technique that accepts it.  Oracle-backed

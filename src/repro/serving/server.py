@@ -408,7 +408,7 @@ class InfluenceServer:
         }
 
     async def _op_sigma(self, request: dict) -> dict[str, Any]:
-        seeds = self._seed_list(request, "seeds")
+        seeds = self._seed_list(request, "seeds", self._graph_size(request))
         entry, warm, akey = await self._oracle_artifact(request)
         value, batched = await self._coalesced_sigma(akey, entry, seeds)
         return {
@@ -419,8 +419,9 @@ class InfluenceServer:
         }
 
     async def _op_gain(self, request: dict) -> dict[str, Any]:
-        node = int(self._field(request, "node"))
-        seeds = self._seed_list(request, "seeds")
+        n = self._graph_size(request)
+        node = self._node_id(self._field(request, "node"), "node", n)
+        seeds = self._seed_list(request, "seeds", n)
         entry, warm, akey = await self._oracle_artifact(request)
         oracle = entry.payload
         async with self._lock(akey):
@@ -601,12 +602,23 @@ class InfluenceServer:
         except KeyError:
             raise ServingRequestError(f"missing field {name!r}") from None
 
+    def _graph_size(self, request: dict) -> int:
+        """Node count of the requested dataset, for range-checking ids."""
+        return self.catalog.graph(self._field(request, "dataset")).n
+
+    @staticmethod
+    def _node_id(raw, name: str, n: int) -> int:
+        node = int(raw)
+        if not 0 <= node < n:
+            raise ServingRequestError(f"{name!r} id {node} outside [0, {n})")
+        return node
+
     @classmethod
-    def _seed_list(cls, request: dict, name: str) -> list[int]:
+    def _seed_list(cls, request: dict, name: str, n: int) -> list[int]:
         raw = cls._field(request, name)
         if not isinstance(raw, (list, tuple)):
             raise ServingRequestError(f"{name!r} must be a list of node ids")
-        return [int(v) for v in raw]
+        return [cls._node_id(v, name, n) for v in raw]
 
 
 # ----------------------------------------------------------------------

@@ -381,6 +381,19 @@ def test_bad_request_reports_missing_field(served):
             client.sigma("nethept", "IC", [0], oracle="serial")
 
 
+def test_out_of_range_node_ids_are_refused(served):
+    n = load_dataset("nethept").n
+    with served.client() as client:
+        for seeds in ([-1], [0, n]):
+            with pytest.raises(ServingError, match="ServingRequestError.*outside"):
+                client.sigma("nethept", "IC", seeds)
+        with pytest.raises(ServingError, match="ServingRequestError.*'node'"):
+            client.gain("nethept", "IC", -n, seeds=[0])
+        with pytest.raises(ServingError, match="ServingRequestError.*'seeds'"):
+            client.gain("nethept", "IC", 1, seeds=[n + 3])
+        assert client.ping() == "pong"
+
+
 def test_stats_exposes_cache_and_counters(served):
     with served.client() as client:
         client.ping()

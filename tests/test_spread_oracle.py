@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import registry
+from repro.diffusion import batched as batched_mod
 from repro.diffusion import oracle as oracle_mod
 from repro.diffusion._frontier import expand_slices, gather_csr, gather_edges
 from repro.diffusion.batched import (
@@ -13,7 +14,9 @@ from repro.diffusion.batched import (
     simulate_ic_batch,
     simulate_lt_batch,
 )
-from repro.diffusion.models import Dynamics, WC
+from repro.diffusion.independent_cascade import simulate_ic
+from repro.diffusion.linear_threshold import simulate_lt
+from repro.diffusion.models import IC, Dynamics, WC
 from repro.diffusion.oracle import (
     BatchedMCOracle,
     GainCache,
@@ -22,7 +25,7 @@ from repro.diffusion.oracle import (
     SnapshotOracle,
     make_oracle,
 )
-from repro.diffusion.simulation import monte_carlo_spread
+from repro.diffusion.simulation import DEFAULT_MC_BATCH, monte_carlo_spread
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
 
@@ -124,6 +127,142 @@ class TestBatchedKernels:
         assert np.isfinite(est.stderr)
 
 
+@pytest.fixture(scope="module")
+def pinned_graphs():
+    """WC and uniform-IC weightings of one 80-node power-law topology."""
+    rng = np.random.default_rng(404)
+    topo = build(powerlaw_configuration(80, 2.3, 4.0, rng))
+    return {
+        "wc": WC.weighted(topo, rng),
+        "ic": IC.weighted(topo, np.random.default_rng(5)),
+    }
+
+
+class TestSparseKernelExactness:
+    """Stream contracts of the sparse multi-cascade kernels."""
+
+    @pytest.mark.parametrize("label", ["wc", "ic"])
+    def test_ic_batch_of_one_is_serial_ic(self, pinned_graphs, label):
+        graph = pinned_graphs[label]
+        batched, serial = np.random.default_rng(11), np.random.default_rng(11)
+        for seeds in ([0], [3, 3, 17], list(range(0, 80, 9))):
+            for __ in range(10):
+                np.testing.assert_array_equal(
+                    simulate_ic_batch(graph, seeds, batched, 1)[0],
+                    simulate_ic(graph, seeds, serial),
+                )
+        assert batched.random() == serial.random()
+
+    @pytest.mark.parametrize("batch", [1, 9])
+    def test_lt_batch_is_serial_lt_cascades(self, pinned_graphs, batch):
+        graph = pinned_graphs["wc"]
+        batched, serial = np.random.default_rng(12), np.random.default_rng(12)
+        for seeds in ([0], [5, 5, 40], list(range(0, 80, 9))):
+            np.testing.assert_array_equal(
+                simulate_lt_batch(graph, seeds, batched, batch),
+                np.stack([simulate_lt(graph, seeds, serial) for __ in range(batch)]),
+            )
+        assert batched.random() == serial.random()
+
+    def test_lt_default_scoring_matches_serial_scoring(self, pinned_graphs):
+        graph, seeds = pinned_graphs["wc"], [1, 30]
+        __, batched = monte_carlo_spread(
+            graph, seeds, Dynamics.LT, r=150, rng=np.random.default_rng(4),
+            return_samples=True,
+        )
+        __, serial = monte_carlo_spread(
+            graph, seeds, Dynamics.LT, r=150, rng=np.random.default_rng(4),
+            batch=1, return_samples=True,
+        )
+        np.testing.assert_array_equal(batched, serial)
+
+    @pytest.mark.parametrize(
+        "dynamics, block_coins",
+        [(Dynamics.IC, False), (Dynamics.IC, True), (Dynamics.LT, False)],
+    )
+    def test_output_does_not_depend_on_slice_size(
+        self, pinned_graphs, monkeypatch, dynamics, block_coins
+    ):
+        graph, seeds = pinned_graphs["wc"], [0, 7, 21, 50]
+        runs = []
+        for budget in (batched_mod.SLICE_TRIALS, 7, 1):
+            monkeypatch.setattr(batched_mod, "SLICE_TRIALS", budget)
+            rng = np.random.default_rng(13)
+            mask = batched_cascades(graph, seeds, dynamics, rng, 24, block_coins)
+            runs.append((mask, rng.random()))
+        for mask, after in runs[1:]:
+            np.testing.assert_array_equal(mask, runs[0][0])
+            assert after == runs[0][1]
+
+    def test_default_batch_is_the_batched_kernel(self, pinned_graphs):
+        graph = pinned_graphs["ic"]
+        default = monte_carlo_spread(graph, [2, 9], IC, r=100, rng=np.random.default_rng(6))
+        explicit = monte_carlo_spread(
+            graph, [2, 9], IC, r=100, rng=np.random.default_rng(6),
+            batch=DEFAULT_MC_BATCH,
+        )
+        assert default == explicit
+
+    # BatchedMCOracle keeps its B×E union-block coin stream: σ of three
+    # seed sets at three batch sizes, captured before the kernels went
+    # sparse, must not move.
+    PINNED_ORACLE_SIGMA = {
+        ("wc", Dynamics.IC, 1): (2.5, 1.05, 11.7),
+        ("wc", Dynamics.IC, 7): (2.525, 1.05, 11.875),
+        ("wc", Dynamics.IC, 64): (2.6, 1.05, 9.825),
+        ("ic", Dynamics.IC, 1): (2.275, 1.05, 4.35),
+        ("ic", Dynamics.IC, 7): (2.325, 1.05, 4.275),
+        ("ic", Dynamics.IC, 64): (2.325, 1.05, 4.275),
+        ("wc", Dynamics.LT, 1): (3.15, 1.025, 12.6),
+        ("wc", Dynamics.LT, 7): (3.15, 1.025, 12.6),
+        ("wc", Dynamics.LT, 64): (3.15, 1.025, 12.6),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED_ORACLE_SIGMA, key=str))
+    def test_batched_oracle_sigma_pinned(self, pinned_graphs, key):
+        label, dynamics, batch = key
+        oracle = BatchedMCOracle(
+            pinned_graphs[label], dynamics, 40, np.random.default_rng(3), batch=batch
+        )
+        got = tuple(oracle.evaluate(s) for s in ([1, 4], [0], [2, 7, 9]))
+        assert got == self.PINNED_ORACLE_SIGMA[key]
+
+    @pytest.mark.parametrize(
+        "label, model, seeds, sigma",
+        [("wc", WC, [54, 35, 30, 62], 38.95), ("ic", IC, [13, 35, 62, 5], 8.3)],
+    )
+    def test_celf_batched_oracle_seeds_pinned(
+        self, pinned_graphs, label, model, seeds, sigma
+    ):
+        result = registry.make(
+            "CELF", mc_simulations=20, spread_oracle="batched", mc_batch=16
+        ).select(pinned_graphs[label], 4, model, rng=np.random.default_rng(9))
+        assert result.seeds == seeds
+        assert result.extras["estimated_spread"] == sigma
+
+
+class TestSeedRangeCheck:
+    @pytest.mark.parametrize("batch", [None, 1])
+    @pytest.mark.parametrize("dynamics", [Dynamics.IC, Dynamics.LT])
+    @pytest.mark.parametrize("seeds", [[-4], [0, 4], [-1, 2, 9]])
+    def test_out_of_range_seeds_raise(self, sure_line, dynamics, batch, seeds):
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            monte_carlo_spread(
+                sure_line, seeds, dynamics, r=3,
+                rng=np.random.default_rng(0), batch=batch,
+            )
+
+    def test_error_names_the_offending_ids(self, sure_line):
+        with pytest.raises(ValueError, match=r"\[-4, 7\]"):
+            monte_carlo_spread(sure_line, [7, 0, -4], Dynamics.IC, r=2)
+
+    def test_boundary_ids_accepted(self, sure_line):
+        est = monte_carlo_spread(
+            sure_line, [0, 3], Dynamics.IC, r=2, rng=np.random.default_rng(0)
+        )
+        assert est.mean == 4.0
+
+
 class TestOracleBackends:
     def test_serial_oracle_preserves_rng_stream(self, small_powerlaw):
         oracle = SequentialMCOracle(
@@ -131,7 +270,8 @@ class TestOracleBackends:
         )
         value = oracle.gain(2)
         expected = monte_carlo_spread(
-            small_powerlaw, [2], Dynamics.IC, r=40, rng=np.random.default_rng(3)
+            small_powerlaw, [2], Dynamics.IC, r=40, rng=np.random.default_rng(3),
+            batch=1,
         ).mean
         assert value == expected
         assert oracle.evaluations == 1

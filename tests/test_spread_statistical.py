@@ -1,10 +1,11 @@
 """Statistical-equivalence tests for the batched spread engine.
 
-The batched multi-cascade kernels consume RNG draws in a different layout
-than the serial per-cascade loops (coins are drawn edge-major across the
-batch), so batched and serial σ samples can never be compared
-sample-for-sample — but they must agree *distributionally*, under both IC
-and LT.  The snapshot oracle must converge to the exhaustive-enumeration
+The batched multi-cascade IC kernel consumes RNG draws in a different
+layout than the serial per-cascade loop (coins are drawn cascade-major
+per diffusion step), so batched and serial σ samples can never be
+compared sample-for-sample — but they must agree *distributionally*.
+Scoring is batched by default, so the default is gated against
+``batch=1`` under IC, WC, LT and on a dense IC graph with large cascades.  The snapshot oracle must converge to the exhaustive-enumeration
 oracle, and the marginal-gain memo must be invisible in CELF's output.
 
 Everything runs on fixed seeds, so the p-value assertions are
@@ -16,7 +17,7 @@ import pytest
 
 from repro.algorithms import registry
 from repro.diffusion import oracle as oracle_mod
-from repro.diffusion.models import Dynamics, WC
+from repro.diffusion.models import IC, LT, WC, Dynamics
 from repro.diffusion.oracle import SnapshotOracle
 from repro.diffusion.simulation import monte_carlo_spread
 from repro.graph.digraph import DiGraph
@@ -36,6 +37,20 @@ ORACLE_WORLDS = 20_000
 def powerlaw_graph():
     rng = np.random.default_rng(2024)
     return WC.weighted(build(powerlaw_configuration(250, 2.3, 4.0, rng)), rng)
+
+
+@pytest.fixture(scope="module")
+def default_vs_serial_cases(powerlaw_graph):
+    """(graph, model) per gated case; seeds are fixed per case below."""
+    topo = build(powerlaw_configuration(250, 2.3, 4.0, np.random.default_rng(2024)))
+    # Supercritical under IC p=0.1: cascades reach ~40% of the nodes.
+    dense = build(powerlaw_configuration(400, 2.1, 60.0, np.random.default_rng(7)))
+    return {
+        "IC": (IC.weighted(topo), IC),
+        "WC": (powerlaw_graph, WC),
+        "LT": (LT.weighted(topo), LT),
+        "dense-IC": (IC.weighted(dense), IC),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +91,40 @@ class TestBatchedVsSerialDistribution:
         )
         joint_se = float(np.hypot(est_s.stderr, est_b.stderr))
         assert abs(est_s.mean - est_b.mean) <= 3.0 * joint_se
+
+
+    CASES = ("IC", "WC", "LT", "dense-IC")
+
+    @staticmethod
+    def _default_and_serial(cases, case):
+        graph, model = cases[case]
+        seeds = [0, 7, 21]
+        default = monte_carlo_spread(
+            graph, seeds, model, r=SAMPLES, rng=np.random.default_rng(31),
+            return_samples=True,
+        )
+        serial = monte_carlo_spread(
+            graph, seeds, model, r=SAMPLES, rng=np.random.default_rng(77),
+            batch=1, return_samples=True,
+        )
+        return default, serial
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_default_vs_serial_ks(self, default_vs_serial_cases, case):
+        (__, default), (__, serial) = self._default_and_serial(
+            default_vs_serial_cases, case
+        )
+        assert stats.ks_2samp(default, serial).pvalue > P_FLOOR
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_default_vs_serial_mean_within_joint_se(
+        self, default_vs_serial_cases, case
+    ):
+        (est_d, __), (est_s, __) = self._default_and_serial(
+            default_vs_serial_cases, case
+        )
+        joint_se = float(np.hypot(est_d.stderr, est_s.stderr))
+        assert abs(est_d.mean - est_s.mean) <= 3.0 * joint_se
 
 
 class TestSnapshotOracleConvergence:
