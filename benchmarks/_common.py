@@ -72,17 +72,6 @@ MEMORY_LIMIT_MB = 300.0
 #                             worker pool (repro.framework.pool) that all
 #                             parallel engines fan out through; a chunk
 #                             failing n times is quarantined -> cell FAILED
-#   REPRO_BENCH_SHARDS=s      partition-aware sharded fan-out: pool chunks
-#                             execute in s round-robin waves and the path
-#                             engine groups sources by an edge-cut
-#                             partition; pure scheduling, so seeds and
-#                             spreads stay byte-identical at any s
-#   REPRO_SHM_MIN_BYTES=b     minimum total ndarray bytes in a pool call's
-#                             shared args before they ship through the
-#                             shared-memory arena instead of pickle
-#                             (default 1 MiB; 0 = always use the arena)
-#   REPRO_SHM_DISABLE=1       force the once-per-worker pickle transport
-#                             for shared args (the arena is default-on)
 #   REPRO_FAULT_RATE=r        arm the chunk fault injector at rate r
 #                             (with REPRO_FAULT_MODE=kill|hang|corrupt|
 #                             raise, REPRO_FAULT_SEED) — chaos-testing
@@ -98,7 +87,6 @@ BENCH_SPREAD_ORACLE = os.environ.get("REPRO_BENCH_SPREAD_ORACLE", "") or None
 BENCH_PATH_WORKERS = int(os.environ.get("REPRO_BENCH_PATH_WORKERS", "0") or "0")
 BENCH_TRACE = os.environ.get("REPRO_BENCH_TRACE", "") or None
 BENCH_POOL_RETRIES = int(os.environ.get("REPRO_BENCH_POOL_RETRIES", "0") or "0") or None
-BENCH_SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "0") or "0") or None
 JOURNAL_DIR = RESULTS_DIR / "journals"
 
 #: Per-algorithm constructor parameters scaled for pure Python.  epsilon /
@@ -213,7 +201,6 @@ def run_cell(
             track_memory=memory_limit_mb is not None,
             telemetry=BENCH_TRACE is not None,
             pool_retries=BENCH_POOL_RETRIES,
-            shards=BENCH_SHARDS,
         ),
         retry=RetryPolicy(max_attempts=max(1, BENCH_RETRIES)),
     )

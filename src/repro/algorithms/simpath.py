@@ -1,4 +1,4 @@
-"""SIMPATH (Goyal, Lu & Lakshmanan, ICDM'11) — LT-only path enumeration.
+"""SIMPATH (Goyal et al., ICDM'11) — LT-only path enumeration.
 
 Under LT, the spread of a set decomposes over simple paths:
 
@@ -155,7 +155,7 @@ def _sigma_plain(graph: DiGraph, eta: float, nodes: np.ndarray,
     """σ(v) for each v in ``nodes`` over the full graph (worker-safe).
 
     Chunk-invariant operands lead — the pool's shared-args convention,
-    so the graph ships once per worker (shm arena when big enough).
+    so the graph ships once per worker.
     """
     allowed = np.ones(graph.n, dtype=bool)
     return np.array([

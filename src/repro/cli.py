@@ -38,7 +38,6 @@ from .framework import (
     execute_cell,
     recommend,
     render_report,
-    shards_env,
     summarize_trace,
     tune_parameter,
     write_trace,
@@ -132,14 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "--mc-workers/--path-workers); a chunk failing "
                           "this many times is quarantined and the cell "
                           "FAILED (default: REPRO_BENCH_POOL_RETRIES or 4)")
-    sel.add_argument("--shards", type=int, default=None, metavar="S",
-                     help="partition-aware shard count for the resilient "
-                          "worker pool's fan-out: chunks execute in S "
-                          "round-robin waves and the path engine groups "
-                          "sources by an edge-cut partition; pure "
-                          "scheduling, so seeds and spreads stay "
-                          "byte-identical at any S (default: "
-                          "REPRO_BENCH_SHARDS or 1)")
     sel.add_argument("--resume", default=None, metavar="JOURNAL",
                      help="JSONL checkpoint journal; a cell already recorded "
                           "there is not re-run")
@@ -267,7 +258,6 @@ def _cmd_select(args) -> int:
                 track_memory=args.memory_limit_mb is not None,
                 telemetry=tele is not None,
                 pool_retries=args.pool_retries,
-                shards=args.shards,
             ),
             retry=RetryPolicy(max_attempts=max(1, args.retries)),
         )
@@ -288,7 +278,7 @@ def _cmd_select(args) -> int:
             write_trace(args.trace, tele.snapshot(), cell=key, record=record)
             print(f"trace     : {args.trace}")
         return 1
-    with activate(tele) as t, t.span("score"), shards_env(args.shards):
+    with activate(tele) as t, t.span("score"):
         estimate = diffusion.monte_carlo_spread(
             graph, record.seeds, model, r=args.mc,
             rng=np.random.default_rng(args.seed + 1),

@@ -239,8 +239,8 @@ def _parallel_samples(
     _tele().count("mc.worker_chunks", len(chunks))
     # Chunks draw from spawn-key-derived streams, so a lost chunk replays
     # byte-identically and the concatenation order is fixed by chunk index.
-    # The graph, seed set and dynamics are chunk-invariant and travel via
-    # the shared-args transport (shm arena / once-per-worker pickle).
+    # The graph, seed set and dynamics are chunk-invariant and travel
+    # once per worker as shared args.
     parts = run_chunks(
         _simulate_chunk,
         [(int(c), s, batch, block_coins) for c, s in zip(chunks, states)],

@@ -56,7 +56,7 @@ from .metrics import (
     RunRecord,
     run_with_budget,
 )
-from .pool import pool_retries_env, shards_env
+from .pool import pool_retries_env
 from .results import _jsonable
 from .telemetry import Telemetry
 
@@ -147,11 +147,6 @@ class IsolationConfig:
     #: ``FAILED`` with the poison chunk identified in
     #: ``extras["failure"]["pool"]``.
     pool_retries: int | None = None
-    #: Shard count for the resilient worker pool's partition-aware fan-out
-    #: inside this cell (``None`` keeps the pool's env default,
-    #: ``REPRO_BENCH_SHARDS``).  Sharding is a scheduling decision only —
-    #: results stay byte-identical at any shard count.
-    shards: int | None = None
 
 
 @dataclass(frozen=True)
@@ -241,12 +236,11 @@ def _isolated_worker(
     track_memory: bool,
     telemetry: bool = False,
     pool_retries: int | None = None,
-    shards: int | None = None,
 ) -> None:
     """Run one cell in the child and ship a plain-dict payload back."""
     try:
         enforcement = _set_memory_rlimit(memory_limit_mb)
-        with pool_retries_env(pool_retries), shards_env(shards):
+        with pool_retries_env(pool_retries):
             record, result = run_with_budget(
                 algorithm,
                 graph,
@@ -313,7 +307,7 @@ class IsolatedExecutor:
         rng = np.random.default_rng() if rng is None else rng
         cfg = self.config
         if not cfg.enabled or not isolation_supported(cfg.start_method):
-            with pool_retries_env(cfg.pool_retries), shards_env(cfg.shards):
+            with pool_retries_env(cfg.pool_retries):
                 return run_with_budget(
                     algorithm,
                     graph,
@@ -335,7 +329,7 @@ class IsolatedExecutor:
             args=(
                 send_conn, algorithm, graph, k, model, rng,
                 cfg.time_limit_seconds, cfg.memory_limit_mb, cfg.track_memory,
-                cfg.telemetry, cfg.pool_retries, cfg.shards,
+                cfg.telemetry, cfg.pool_retries,
             ),
             daemon=True,
         )

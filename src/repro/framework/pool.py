@@ -44,25 +44,10 @@ output byte-identical to the fault-free run — asserted end-to-end by
 **Shared-args transport.**  Chunks often share big immutable operands —
 the graph CSR above all.  ``run_chunks(..., shared=(graph, ...))``
 hoists them out of the per-chunk tuples: serial paths call
-``fn(*shared, *args)`` on the original objects, and parallel paths ship
-the shared tuple once per worker through the executor initializer —
-zero-copy via :mod:`repro.framework.shm` when the payload is big enough
-(named shared-memory segments, workers attach by handle), ordinary
-pickle otherwise.  Either way the per-chunk dispatch payload is O(1) in
-graph size.  The arena is torn down in a ``finally`` so every exit path
-— completion, quarantine, interrupt, serial downgrade — unlinks its
-segments.
-
-**Sharding.**  ``REPRO_BENCH_SHARDS`` / :func:`shards_env` split a
-fan-out into round-robin buckets of chunk indices executed bucket by
-bucket through the same recovery machinery (shared restart budget).
-Sharding is a pure *scheduling* layer: chunk contents are untouched and
-results still commit by chunk index, so a sharded run is byte-identical
-to an unsharded one — it just bounds how many chunks are in flight, so
-concurrent sweeps or graphs bigger than one worker set's budget can
-time-share the machine.  Locality-aware chunk *composition* (grouping
-sources by graph partition) lives with the engines that can prove it
-result-invariant (see :func:`repro.diffusion.paths.batched_max_prob_paths`).
+``fn(*shared, *args)`` on the original objects, and parallel paths hand
+the shared tuple to the executor initializer, once per worker (under
+the ``fork`` start method workers inherit it copy-on-write).  The
+per-chunk dispatch payload is therefore O(1) in graph size.
 
 :class:`ChunkFaultInjector` is the test harness: rate-controlled
 kill / hang / corrupt / raise faults, armed through ``REPRO_FAULT_*``
@@ -103,7 +88,6 @@ __all__ = [
     "ChunkFaultInjector",
     "FaultSpec",
     "pool_retries_env",
-    "shards_env",
 ]
 
 
@@ -127,6 +111,16 @@ def _env_float(name: str, default: float | None) -> float | None:
         return default
 
 
+def _env_bounded(name: str, default: float | None, *, allow_zero: bool) -> float | None:
+    """``_env_float`` that rejects a negative (or, unless ``allow_zero``,
+    a zero) setting instead of letting it misbehave mid-run."""
+    value = _env_float(name, default)
+    if value is not None and (value < 0.0 if allow_zero else value <= 0.0):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PoolConfig:
     """Resilience knobs for one :class:`ResilientPool` run.
@@ -139,7 +133,9 @@ class PoolConfig:
     * ``REPRO_POOL_MAX_RESTARTS``  → :attr:`max_restarts`
     * ``REPRO_POOL_STALL_TIMEOUT`` → :attr:`stall_timeout_seconds`
     * ``REPRO_POOL_BACKOFF``       → :attr:`backoff_seconds`
-    * ``REPRO_BENCH_SHARDS``       → :attr:`shards`
+
+    A negative backoff or a non-positive stall timeout raises
+    ``ValueError`` naming the variable; a backoff of 0 disables it.
     """
 
     #: Attributable failures (chunk exception, corrupt result) tolerated
@@ -155,19 +151,18 @@ class PoolConfig:
     backoff_seconds: float = 0.05
     #: Seconds to wait for a terminated worker before SIGKILL.
     grace_seconds: float = 1.0
-    #: Round-robin buckets a fan-out is split into (1 disables sharding).
-    #: Pure scheduling — results are byte-identical at any shard count.
-    shards: int = 1
 
     @classmethod
     def from_env(cls) -> "PoolConfig":
         return cls(
             retries=max(1, _env_int("REPRO_BENCH_POOL_RETRIES", cls.retries)),
             max_restarts=max(0, _env_int("REPRO_POOL_MAX_RESTARTS", cls.max_restarts)),
-            stall_timeout_seconds=_env_float("REPRO_POOL_STALL_TIMEOUT", None),
-            backoff_seconds=_env_float("REPRO_POOL_BACKOFF", cls.backoff_seconds)
-            or cls.backoff_seconds,
-            shards=max(1, _env_int("REPRO_BENCH_SHARDS", cls.shards)),
+            stall_timeout_seconds=_env_bounded(
+                "REPRO_POOL_STALL_TIMEOUT", None, allow_zero=False
+            ),
+            backoff_seconds=_env_bounded(
+                "REPRO_POOL_BACKOFF", cls.backoff_seconds, allow_zero=True
+            ),
         )
 
 
@@ -185,29 +180,6 @@ def pool_retries_env(retries: int | None) -> Iterator[None]:
     key = "REPRO_BENCH_POOL_RETRIES"
     previous = os.environ.get(key)
     os.environ[key] = str(int(retries))
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = previous
-
-
-@contextmanager
-def shards_env(shards: int | None) -> Iterator[None]:
-    """Scoped override of ``REPRO_BENCH_SHARDS`` (no-op for ``None``).
-
-    Same environment-based scoping as :func:`pool_retries_env`, so the
-    shard count reaches every pool opened below the current frame —
-    including the engines' lazily-opened fan-outs and isolated children.
-    """
-    if shards is None:
-        yield
-        return
-    key = "REPRO_BENCH_SHARDS"
-    previous = os.environ.get(key)
-    os.environ[key] = str(int(shards))
     try:
         yield
     finally:
@@ -362,20 +334,28 @@ def _result_digest(value: Any) -> int:
     return zlib.crc32(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
 
+#: The shared-args tuple of the executor this worker belongs to, set
+#: once per worker by :func:`_worker_init`.
+_WORKER_SHARED: tuple = ()
+
+
+def _worker_init(shared: tuple) -> None:
+    """Executor initializer: install the fan-out's shared args."""
+    global _WORKER_SHARED
+    _WORKER_SHARED = shared
+
+
 def _execute_chunk(
     fn: Callable[..., Any],
     args: tuple,
     index: int,
     attempt: int,
     spec: FaultSpec | None,
-    has_shared: bool = False,
-) -> tuple[int, int | None, Any, dict[str, int] | None]:
+) -> tuple[int, int | None, Any]:
     """Worker-side wrapper: run one chunk, applying any armed fault.
 
-    Returns ``(index, digest, value, meta)``; ``digest`` is ``None`` (and
-    no extra pickling happens) when no injector is armed.  ``meta``
-    carries worker-side counter deltas (shared-memory attaches) for the
-    parent to fold into its telemetry — ``None`` when there are none.
+    Returns ``(index, digest, value)``; ``digest`` is ``None`` (and no
+    extra pickling happens) when no injector is armed.
     """
     fired = spec is not None and fault_fires(spec, index, attempt)
     if fired:
@@ -389,20 +369,13 @@ def _execute_chunk(
             deadline = time.perf_counter() + spec.hang_seconds
             while time.perf_counter() < deadline:
                 time.sleep(0.02)
-    meta = None
-    if has_shared:
-        from . import shm as _shm  # lazy: pickle-only pools skip numpy
-
-        value = fn(*_shm.worker_shared(), *args)
-        meta = _shm.attach_meta()
-    else:
-        value = fn(*args)
+    value = fn(*_WORKER_SHARED, *args)
     if spec is None:
-        return index, None, value, meta
+        return index, None, value
     digest = _result_digest(value)
     if fired and spec.mode == "corrupt":
         value = ("__corrupt__", value)
-    return index, digest, value, meta
+    return index, digest, value
 
 
 # ----------------------------------------------------------------------
@@ -449,10 +422,9 @@ class ResilientPool:
 
         ``shared`` holds big immutable operands common to every chunk;
         workers receive them prepended — ``fn(*shared, *args)`` — but
-        they travel once per worker (shared-memory arena or pickled
-        initializer payload), never once per chunk.  Serial paths use
-        the original objects directly, so results are transport-
-        independent.
+        they travel once per worker through the executor initializer,
+        never once per chunk.  Serial paths use the original objects
+        directly, so results are transport-independent.
         """
         n = len(arg_tuples)
         if n == 0:
@@ -476,90 +448,44 @@ class ResilientPool:
         tele = _telemetry.current()
         spec = active_fault_spec()
         tele.count("pool.chunks", n)
-        shards = max(1, min(int(cfg.shards), n))
-        if shards > 1:
-            tele.count("pool.shards", shards)
-        # Round-robin buckets of chunk indices, executed bucket by bucket
-        # through the same recovery ladder.  Chunk contents and commit
-        # order are untouched, so output is byte-identical at any shard
-        # count — sharding only bounds how many chunks are in flight.
-        buckets = [list(range(s, n, shards)) for s in range(shards)]
-        payload, arena = shared, None
         if shared:
-            from . import shm as _shm  # lazy: pickle-only pools skip numpy
-
-            payload, arena = _shm.export_shared(shared, label=self.label)
+            tele.count("pool.transport_pickle")
         results: list[Any] = [_UNSET] * n
         attempts = [0] * n  # total executions started (varies fault draws)
         failures = [0] * n  # attributable failures (counts toward quarantine)
+        remaining = set(range(n))
         restarts = 0
-        try:
-            for bucket in buckets:
-                remaining = set(bucket)
-                while remaining:
-                    if restarts > cfg.max_restarts:
-                        tele.count("pool.serial_downgrades")
-                        serial = self._run_serial(
-                            fn, arg_tuples, sorted(remaining), tick,
-                            downgrade=True, shared=shared,
-                        )
-                        for i, value in zip(sorted(remaining), serial):
-                            results[i] = value
-                        break
-                    executor = self._spawn_executor(
-                        min(workers, len(remaining)), shared, payload
-                    )
-                    try:
-                        collapsed = self._drain(
-                            executor, fn, arg_tuples, spec,
-                            results, attempts, failures, remaining, tick,
-                            has_shared=bool(shared),
-                        )
-                    except BaseException:
-                        self._shutdown(executor, force=True)
-                        raise
-                    self._shutdown(executor, force=collapsed)
-                    if collapsed and remaining:
-                        restarts += 1
-                        tele.count("pool.worker_restarts")
-                        tele.count(
-                            "pool.chunks_salvaged",
-                            len(bucket) - len(remaining),
-                        )
-        finally:
-            if arena is not None:
-                # Unlink on every exit path (interrupt included); workers
-                # still holding mappings keep the pages via the kernel
-                # refcount until they terminate.
-                arena.close()
-            if shared:
-                from . import shm as _shm
-
-                # The parent attaches too when chunks resolve in-process
-                # (nested-serial, downgrade); sweep so a resident process
-                # running many fan-outs holds no dead mappings.
-                _shm.detach_stale()
+        while remaining:
+            if restarts > cfg.max_restarts:
+                tele.count("pool.serial_downgrades")
+                serial = self._run_serial(
+                    fn, arg_tuples, sorted(remaining), tick,
+                    downgrade=True, shared=shared,
+                )
+                for i, value in zip(sorted(remaining), serial):
+                    results[i] = value
+                break
+            # One executor generation; the initializer hands the shared
+            # tuple to each worker once.
+            executor = ProcessPoolExecutor(
+                max_workers=min(workers, len(remaining)),
+                initializer=_worker_init,
+                initargs=(shared,),
+            )
+            try:
+                collapsed = self._drain(
+                    executor, fn, arg_tuples, spec,
+                    results, attempts, failures, remaining, tick,
+                )
+            except BaseException:
+                self._shutdown(executor, force=True)
+                raise
+            self._shutdown(executor, force=collapsed)
+            if collapsed and remaining:
+                restarts += 1
+                tele.count("pool.worker_restarts")
+                tele.count("pool.chunks_salvaged", n - len(remaining))
         return results
-
-    def _spawn_executor(
-        self, max_workers: int, shared: tuple, payload: Any
-    ) -> ProcessPoolExecutor:
-        """One executor generation, with the shared payload installed.
-
-        The initializer ships ``payload`` exactly once per worker — for
-        the arena path that is O(1) descriptors; for the pickle fallback
-        it is the one serialization of the shared objects that the
-        per-chunk tuples no longer carry.
-        """
-        if not shared:
-            return ProcessPoolExecutor(max_workers=max_workers)
-        from . import shm as _shm  # lazy: pickle-only pools skip numpy
-
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_shm._worker_init,
-            initargs=(payload,),
-        )
 
     # -- internals ------------------------------------------------------
 
@@ -578,7 +504,7 @@ class ResilientPool:
         correctness backstop, and a ``kill`` fired in-process would take
         the parent down with it.  ``shared`` objects are used directly
         (no transport at all), so a serial downgrade is byte-identical
-        to the arena path it replaces.
+        to the parallel path it replaces.
         """
         out: list[Any] = []
         for i in indexes:
@@ -608,11 +534,9 @@ class ResilientPool:
         spec: FaultSpec | None,
         attempts: list[int],
         index: int,
-        has_shared: bool = False,
     ) -> Future:
         future = executor.submit(
-            _execute_chunk, fn, arg_tuples[index], index, attempts[index], spec,
-            has_shared,
+            _execute_chunk, fn, arg_tuples[index], index, attempts[index], spec
         )
         attempts[index] += 1
         return future
@@ -628,7 +552,6 @@ class ResilientPool:
         failures: list[int],
         remaining: set[int],
         tick: Callable[[], None] | None,
-        has_shared: bool = False,
     ) -> bool:
         """One executor generation; returns True when it collapsed."""
         cfg = self.config
@@ -636,8 +559,7 @@ class ResilientPool:
         futures: dict[Future, int] = {}
         for i in sorted(remaining):
             try:
-                futures[self._submit(executor, fn, arg_tuples, spec, attempts,
-                                     i, has_shared)] = i
+                futures[self._submit(executor, fn, arg_tuples, spec, attempts, i)] = i
             except (BrokenProcessPool, RuntimeError):
                 # A worker died before the generation was fully submitted
                 # (short chunks make this likely); every unfinished chunk
@@ -664,12 +586,7 @@ class ResilientPool:
                     collapsed = True
                     continue
                 if error is None:
-                    __, digest, value, meta = future.result()
-                    if meta:
-                        # Worker-side counter deltas (shm attaches) fold
-                        # into the parent's telemetry stream.
-                        for key, delta in meta.items():
-                            tele.count(key, delta)
+                    __, digest, value = future.result()
                     if digest is not None and digest != _result_digest(value):
                         tele.count("pool.corrupt_results")
                         error = PoolError(
@@ -699,8 +616,7 @@ class ResilientPool:
                 time.sleep(cfg.backoff_seconds * 2.0 ** (failures[index] - 1))
                 try:
                     retry = self._submit(
-                        executor, fn, arg_tuples, spec, attempts, index,
-                        has_shared,
+                        executor, fn, arg_tuples, spec, attempts, index
                     )
                 except (BrokenProcessPool, RuntimeError):
                     # The executor died under us mid-retry; the chunk is

@@ -1,6 +1,6 @@
 """Influence-probability estimators over action logs.
 
-The three static models of Goyal, Bonchi & Lakshmanan (WSDM'10), adapted
+The three static models of Goyal et al. (WSDM'10), adapted
 to directed graphs:
 
 * :func:`bernoulli` — maximum-likelihood frequency:

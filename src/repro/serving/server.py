@@ -156,7 +156,7 @@ class InfluenceServer:
             await self.shutdown()
 
     async def shutdown(self) -> None:
-        """Close the listener, drain the executor, drop shm attachments."""
+        """Close the listener and drain the executor."""
         if self._closed:
             return
         self._closed = True
@@ -164,9 +164,6 @@ class InfluenceServer:
             self._server.close()
             await self._server.wait_closed()
         self._executor.shutdown(wait=True)
-        from ..framework import shm
-
-        shm.detach_all()
         if self.config.trace:
             write_trace(self.config.trace, self.telemetry.snapshot(), cell="serve")
 

@@ -18,11 +18,13 @@ from repro.diffusion.paths import (
     DagStore,
     PathBatch,
     TreeStore,
+    _kernel_chunk,
     batched_max_prob_paths,
     build_dag_store,
     build_tree_store,
 )
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import build, powerlaw_configuration
 
 THETA = 1.0 / 320.0
 
@@ -141,6 +143,23 @@ class TestKernelVsLegacy:
              fanned.parent_w, fanned.first_rank),
         ):
             np.testing.assert_array_equal(a, b)
+
+    def test_kernel_rows_independent_of_batch_composition(self):
+        # The invariant worker chunking relies on: each row of the batched
+        # kernel is a pure function of its own source, whatever else
+        # shares its chunk.
+        rng = np.random.default_rng(7)
+        graph = WC.weighted(build(powerlaw_configuration(120, 2.3, 4.0, rng)), rng)
+        sources = np.array([3, 17, 42, 80], dtype=np.int64)
+        together = _kernel_chunk(graph, 0.01, True, None, sources)
+        ptr = together[0]
+        for i, s in enumerate(sources):
+            alone = _kernel_chunk(
+                graph, 0.01, True, None, np.array([s], dtype=np.int64)
+            )
+            sl = slice(int(ptr[i]), int(ptr[i + 1]))
+            for j in range(1, 6):
+                assert np.array_equal(together[j][sl], alone[j])
 
     def test_batch_shape_invariants(self, two_cliques):
         sources = np.arange(two_cliques.n)

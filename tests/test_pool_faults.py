@@ -26,7 +26,6 @@ from repro.diffusion.simulation import monte_carlo_spread
 from repro.framework.isolation import IsolationConfig, execute_cell
 from repro.framework.metrics import STATUS_FAILED
 from repro.framework.pool import ChunkFaultInjector
-from repro.framework.shm import SEGMENT_PREFIX
 from repro.framework.telemetry import Telemetry, activate
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
@@ -175,112 +174,36 @@ class TestDegradationLadder:
         assert pool_detail["label"] == "rrpool.sample"
 
 
-def _shm_leftovers():
-    try:
-        return [f for f in os.listdir("/dev/shm") if f.startswith(SEGMENT_PREFIX)]
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
-
-
 class TestArenaChaosSuite:
-    """Faults with the shared-memory arena armed (REPRO_SHM_MIN_BYTES=0).
+    """Recovery rungs with shared args on the pickle transport.
 
-    The transport must be invisible twice over: results are byte-identical
-    to the default-transport fault-free baseline, and every recovery rung
-    — respawn (workers *re-attach* the published segments, visible as
-    extra ``shm.attach`` events from the cold caches), pickle fallback,
-    serial downgrade (no transport at all) — leaves no ``/dev/shm``
-    leftovers behind.
+    Shared args (the graph) reach workers only through the executor
+    initializer; there is no shared-memory arena.  Each rung — respawn
+    after kills, serial downgrade — must stay byte-identical to the
+    fault-free baseline and report the pickle transport, never an arena.
     """
 
-    def test_ris_kills_reattach_arena(self, monkeypatch):
-        # A graph big enough that its CSR arrays clear the per-array
-        # inline threshold, so segments are actually published.
-        rng = np.random.default_rng(17)
-        big = WC.weighted(
-            build(powerlaw_configuration(900, 2.3, 4.0, rng)), rng
-        )
-        baseline = select_seeds(RIS(num_rr_sets=600, rr_workers=3), big, 5)
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        tele = Telemetry()
-        # seed 84 @ rate .15: one chunk killed on attempt 0 (as in the
-        # transport-free twin above), forcing an executor respawn.
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=0.15, seed=84):
-            faulted = select_seeds(RIS(num_rr_sets=600, rr_workers=3), big, 5)
-        assert faulted == baseline
-        assert tele.counters["pool.transport_shm"] >= 1
-        assert tele.counters["shm.publish_segments"] >= 1
-        assert tele.counters["pool.worker_restarts"] >= 1
-        # The respawned generation attached the segments afresh instead of
-        # receiving a graph copy: attach events outnumber the single
-        # attach one surviving worker set would report.
-        assert tele.counters["shm.attach"] >= 2
-        assert not _shm_leftovers()
-
-    def test_imm_corrupt_results_with_arena(self, graph, monkeypatch):
-        algo = lambda: IMM(epsilon=0.5, rr_scale=0.02, rr_workers=3)  # noqa: E731
-        baseline = select_seeds(algo(), graph, 5)
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        tele = Telemetry()
-        # seed 0 @ rate .3: two chunks return corrupted payloads and retry.
-        with activate(tele), ChunkFaultInjector(mode="corrupt", rate=0.3, seed=0):
-            faulted = select_seeds(algo(), graph, 5)
-        assert faulted == baseline
-        assert tele.counters["pool.transport_shm"] >= 1
-        assert tele.counters["pool.chunk_retries"] >= 2
-        assert not _shm_leftovers()
-
-    def test_celf_kills_with_arena(self, small_graph, monkeypatch):
-        algo = lambda: CELF(mc_simulations=8, mc_workers=2)  # noqa: E731
-        baseline = select_seeds(algo(), small_graph, 3)
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        tele = Telemetry()
-        # seed 28 @ rate .2: chunk 0 of every sigma evaluation is killed.
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=0.2, seed=28):
-            faulted = select_seeds(algo(), small_graph, 3)
-        assert faulted == baseline
-        assert tele.counters["pool.transport_shm"] >= 1
-        assert tele.counters["pool.worker_restarts"] >= 1
-        assert not _shm_leftovers()
-
-    def test_pickle_fallback_rung_under_kills(self, graph, monkeypatch):
-        """REPRO_SHM_DISABLE forces the pickle rung; faults stay invisible."""
+    def test_pickle_fallback_rung_under_kills(self, graph):
+        """Kills force a respawn; the new workers get the graph re-pickled."""
         baseline = select_seeds(RIS(num_rr_sets=900, rr_workers=3), graph, 5)
-        monkeypatch.setenv("REPRO_SHM_DISABLE", "1")
         tele = Telemetry()
         with activate(tele), ChunkFaultInjector(mode="kill", rate=0.15, seed=84):
             faulted = select_seeds(RIS(num_rr_sets=900, rr_workers=3), graph, 5)
         assert faulted == baseline
+        assert tele.counters["pool.worker_restarts"] >= 1
         assert tele.counters["pool.transport_pickle"] >= 1
         assert "pool.transport_shm" not in tele.counters
-        assert not _shm_leftovers()
 
     def test_serial_downgrade_rung_with_arena(self, graph, monkeypatch):
-        """Restarts exhausted under a 100% kill rate: the serial rung runs
-        on the original objects and the arena still unlinks."""
+        """Restarts exhausted under a 100% kill rate: shared args went
+        through the initializer first, then the serial rung runs on the
+        original objects."""
         baseline = select_seeds(RIS(num_rr_sets=600, rr_workers=3), graph, 4)
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
         monkeypatch.setenv("REPRO_POOL_MAX_RESTARTS", "0")
         tele = Telemetry()
         with activate(tele), ChunkFaultInjector(mode="kill", rate=1.0, seed=0):
             faulted = select_seeds(RIS(num_rr_sets=600, rr_workers=3), graph, 4)
         assert faulted == baseline
         assert tele.counters["pool.serial_downgrades"] >= 1
-        assert tele.counters["pool.transport_shm"] >= 1
-        assert not _shm_leftovers()
-
-    def test_sharded_arena_run_under_kills(self, graph, monkeypatch):
-        """Sharding, arena and faults composed: still byte-identical."""
-        from repro.framework.pool import shards_env
-
-        baseline = select_seeds(RIS(num_rr_sets=900, rr_workers=3), graph, 5)
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        tele = Telemetry()
-        with activate(tele), shards_env(3), ChunkFaultInjector(
-            mode="kill", rate=0.15, seed=84
-        ):
-            faulted = select_seeds(RIS(num_rr_sets=900, rr_workers=3), graph, 5)
-        assert faulted == baseline
-        assert tele.counters["pool.shards"] >= 3
-        assert tele.counters["pool.transport_shm"] >= 1
-        assert not _shm_leftovers()
+        assert tele.counters["pool.transport_pickle"] >= 1
+        assert "pool.transport_shm" not in tele.counters

@@ -2,9 +2,10 @@
 
 The pool is the single process fan-out substrate under all three engines,
 so these tests pin its contract directly: chunk-order results, bounded
-retry with quarantine, executor-collapse salvage, serial downgrade, env
-configuration, and — the regression that motivated it — no orphan worker
-processes after a mid-iteration interrupt.
+retry with quarantine, executor-collapse salvage, serial downgrade, the
+once-per-worker shared-args transport, env configuration, and — the
+regression that motivated it — no orphan worker processes after a
+mid-iteration interrupt.
 
 Fault seeds are pinned: the injector's draw is
 ``sha256(f"{seed}:{index}:{attempt}")``, so which chunk faults on which
@@ -70,6 +71,10 @@ def _fail_first_attempts(state_dir, index, needed):
     if prior < needed:
         raise RuntimeError(f"transient failure {prior} of chunk {index}")
     return index * 10
+
+
+def _shared_sum(big, offset):
+    return float(big.sum()) + offset
 
 
 def _draw_bytes(seed_sequence_state, n):
@@ -206,6 +211,37 @@ class TestFaultRecovery:
                 run_chunks(_always_raise, [(0,), (1,)], workers=2, config=cfg)
 
 
+# -- shared-args transport ----------------------------------------------
+
+
+class TestSharedArgs:
+    def test_shared_args_via_pickle_transport(self):
+        big = np.arange(1 << 14, dtype=np.float64)
+        tele = Telemetry()
+        with activate(tele):
+            out = run_chunks(
+                _shared_sum, [(1,), (2,), (3,)], workers=3, shared=(big,)
+            )
+        assert out == [float(big.sum()) + i for i in (1, 2, 3)]
+        assert tele.counters["pool.transport_pickle"] == 1
+
+    def test_serial_path_skips_transport(self):
+        big = np.arange(1 << 14, dtype=np.float64)
+        tele = Telemetry()
+        with activate(tele):
+            out = run_chunks(_shared_sum, [(5,)], workers=1, shared=(big,))
+        assert out == [float(big.sum()) + 5.0]
+        assert "pool.transport_pickle" not in tele.counters
+
+    def test_transport_does_not_change_results(self):
+        big = np.arange(1 << 14, dtype=np.float64)
+        args = [(i,) for i in range(4)]
+        serial = [_shared_sum(big, i) for i in range(4)]
+        parallel = run_chunks(_shared_sum, args, workers=4, shared=(big,))
+        in_process = run_chunks(_shared_sum, args, workers=1, shared=(big,))
+        assert parallel == in_process == serial
+
+
 # -- configuration ------------------------------------------------------
 
 
@@ -218,6 +254,20 @@ class TestConfiguration:
         assert cfg.retries == 7
         assert cfg.max_restarts == 2
         assert cfg.stall_timeout_seconds == 1.5
+
+    def test_zero_backoff_is_honoured(self, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_BACKOFF", "0")
+        assert PoolConfig.from_env().backoff_seconds == 0.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("REPRO_POOL_BACKOFF", "-1"),
+        ("REPRO_POOL_STALL_TIMEOUT", "0"),
+        ("REPRO_POOL_STALL_TIMEOUT", "-5"),
+    ])
+    def test_out_of_range_env_rejected(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=name):
+            PoolConfig.from_env()
 
     def test_pool_retries_env_scoped_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_POOL_RETRIES", raising=False)

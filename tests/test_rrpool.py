@@ -68,6 +68,18 @@ class TestFlatCSRLayout:
         __ = pool.node_index
         assert pool.nbytes > before  # inverted index now materialized
 
+    def test_nbytes_detail_partitions_nbytes_lazily(self, wc_graph):
+        pool = FlatRRPool(wc_graph.n)
+        pool.extend(wc_graph, Dynamics.IC, 50, np.random.default_rng(1))
+        before = pool.nbytes_detail()
+        assert set(before) == {"set_view", "node_index"}
+        assert before["node_index"] == 0
+        assert sum(before.values()) == pool.nbytes
+        pool.node_index
+        after = pool.nbytes_detail()
+        assert after["node_index"] > 0
+        assert pool.nbytes == after["set_view"] + after["node_index"]
+
     def test_absorb(self, rng):
         a = random_pool(9, 5, rng)
         b = random_pool(9, 7, rng)

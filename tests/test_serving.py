@@ -2,21 +2,20 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro import algorithms
 from repro.datasets import load as load_dataset
 from repro.diffusion import model_by_name
+from repro.diffusion.models import Dynamics
 from repro.diffusion.oracle import (
     BatchedMCOracle,
     BoundedMemo,
     GainCache,
     SnapshotOracle,
 )
-from repro.framework import shm
+from repro.diffusion.rrpool import FlatRRPool
 from repro.graph.io import save_npz
 from repro.serving import (
     Artifact,
@@ -169,51 +168,6 @@ def test_evaluate_many_dedups_and_fills_cache(two_cliques):
 
 
 # ----------------------------------------------------------------------
-# shm attach-cache sweep
-
-
-def _fake_attachment():
-    """A (segment, view) pair shaped like a real _ATTACHED entry."""
-    from multiprocessing import shared_memory
-
-    seg = shared_memory.SharedMemory(create=True, size=64, name=None)
-    view = np.ndarray((64,), dtype=np.uint8, buffer=seg.buf)
-    view.flags.writeable = False
-    shm._ATTACHED[seg.name] = (seg, view)
-    shm._VIEW_SEGMENTS[id(view)] = seg.name
-    return seg
-
-
-def test_detach_stale_drops_unlinked_segments():
-    seg = _fake_attachment()
-    name = seg.name
-    try:
-        assert name in shm.attached_segments()
-        assert shm.detach_stale() == 0  # segment still exists: kept
-        seg.unlink()
-        assert shm.detach_stale() >= 1
-        assert name not in shm.attached_segments()
-    finally:
-        shm._ATTACHED.pop(name, None)
-        try:
-            seg.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def test_detach_all_empties_cache():
-    seg = _fake_attachment()
-    try:
-        assert shm.detach_all() >= 1
-        assert not shm.attached_segments()
-    finally:
-        try:
-            seg.unlink()
-        except FileNotFoundError:
-            pass
-
-
-# ----------------------------------------------------------------------
 # ArtifactLRU
 
 
@@ -260,6 +214,16 @@ def test_payload_nbytes_prefers_detail(two_cliques):
     total, detail = payload_nbytes(oracle)
     assert total == oracle.nbytes > 0
     assert "live_worlds" in detail
+
+
+def test_rrpool_artifact_reports_byte_breakdown(two_cliques):
+    pool = FlatRRPool(two_cliques.n)
+    pool.extend(two_cliques, Dynamics.IC, 40, np.random.default_rng(0))
+    pool.node_index  # materialize the inverted index too
+    artifact = Artifact.wrap("rrpool:two_cliques", "rrpool", pool)
+    assert set(artifact.detail) == {"set_view", "node_index"}
+    assert all(v > 0 for v in artifact.detail.values())
+    assert artifact.nbytes == sum(artifact.detail.values()) == pool.nbytes
 
 
 # ----------------------------------------------------------------------
@@ -441,17 +405,3 @@ def test_server_lru_evicts_and_rewarms_under_small_budget():
             assert rewarmed["warm"] and rewarmed["seeds"] == first["seeds"]
     finally:
         handle.stop()
-
-
-def test_server_shutdown_leaves_no_shm_residue():
-    handle = start_in_thread(
-        ServingConfig(datasets=("nethept",), coalesce_ms=1.0)
-    )
-    with handle.client() as client:
-        client.topk("nethept", "IC", "RIS", 2, params={"num_rr_sets": 200})
-        client.shutdown()
-    handle.stop()
-    assert not shm.attached_segments()
-    if os.path.isdir("/dev/shm"):
-        residue = [f for f in os.listdir("/dev/shm") if f.startswith("repro_shm")]
-        assert residue == []

@@ -64,35 +64,6 @@ def tiny_graph():
 
 
 class TestBatchedVsSerialDistribution:
-    @pytest.mark.parametrize("dynamics", [Dynamics.IC, Dynamics.LT])
-    def test_spread_samples_ks(self, powerlaw_graph, dynamics):
-        seeds = [0, 7, 21]
-        __, serial = monte_carlo_spread(
-            powerlaw_graph, seeds, dynamics, r=SAMPLES,
-            rng=np.random.default_rng(31), return_samples=True,
-        )
-        __, batched = monte_carlo_spread(
-            powerlaw_graph, seeds, dynamics, r=SAMPLES,
-            rng=np.random.default_rng(77), batch=64, return_samples=True,
-        )
-        result = stats.ks_2samp(serial, batched)
-        assert result.pvalue > P_FLOOR
-
-    @pytest.mark.parametrize("dynamics", [Dynamics.IC, Dynamics.LT])
-    def test_batched_mean_within_joint_se(self, powerlaw_graph, dynamics):
-        seeds = [0, 7, 21]
-        est_s = monte_carlo_spread(
-            powerlaw_graph, seeds, dynamics, r=SAMPLES,
-            rng=np.random.default_rng(31),
-        )
-        est_b = monte_carlo_spread(
-            powerlaw_graph, seeds, dynamics, r=SAMPLES,
-            rng=np.random.default_rng(77), batch=64,
-        )
-        joint_se = float(np.hypot(est_s.stderr, est_b.stderr))
-        assert abs(est_s.mean - est_b.mean) <= 3.0 * joint_se
-
-
     CASES = ("IC", "WC", "LT", "dense-IC")
 
     @staticmethod
