@@ -72,11 +72,6 @@ MEMORY_LIMIT_MB = 300.0
 #                             worker pool (repro.framework.pool) that all
 #                             parallel engines fan out through; a chunk
 #                             failing n times is quarantined -> cell FAILED
-#   REPRO_FAULT_RATE=r        arm the chunk fault injector at rate r
-#                             (with REPRO_FAULT_MODE=kill|hang|corrupt|
-#                             raise, REPRO_FAULT_SEED) — chaos-testing
-#                             knob; results stay byte-identical because
-#                             lost chunks replay from their spawn keys
 BENCH_ISOLATE = os.environ.get("REPRO_BENCH_ISOLATE", "") == "1"
 BENCH_RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", "1") or "1")
 BENCH_RESUME = os.environ.get("REPRO_BENCH_RESUME", "") == "1"

@@ -77,7 +77,6 @@ class IRIE(IMAlgorithm):
         iterations: int = 20,
         ap_threshold: float = 1.0 / 320.0,
         engine: str = "flat",
-        path_workers: int | None = None,
     ) -> None:
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
@@ -89,10 +88,6 @@ class IRIE(IMAlgorithm):
         #: "flat" runs the IE step on the path-proxy kernel (bit-identical
         #: pp values); "legacy" keeps the dict/heap reference helper.
         self.engine = engine
-        #: Accepted for injection uniformity with the other proxy
-        #: techniques; the IE step is single-source, so the kernel never
-        #: actually fans out (results are identical either way).
-        self.path_workers = path_workers
 
     def _rank(
         self,
@@ -134,8 +129,7 @@ class IRIE(IMAlgorithm):
             # IE step: fold the new seed's reach into AP along max-prob paths.
             if self.engine == "flat":
                 batch = paths.batched_max_prob_paths(
-                    graph, np.array([v], dtype=np.int64), self.ap_threshold,
-                    workers=self.path_workers,
+                    graph, np.array([v], dtype=np.int64), self.ap_threshold
                 )
                 sl = batch.slice(0)
                 nodes = batch.node[sl.start + 1:sl.stop]  # source excluded

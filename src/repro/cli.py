@@ -23,7 +23,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .framework import (
     tune_parameter,
     write_trace,
 )
+from .framework.pool import FAULT_MODES, FaultSpec, configured, current_config
 from .serving import DEFAULT_PORT, ServingConfig, run_server
 
 __all__ = ["main", "build_parser"]
@@ -111,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "sketch family")
     sel.add_argument("--path-workers", type=int, default=None, metavar="N",
                      help="processes for the path-proxy engine's batched "
-                          "structure builds; only meaningful for the path "
-                          "family (PMIA/LDAG/IRIE/SIMPATH), ignored "
+                          "structure builds; only meaningful for PMIA, "
+                          "LDAG and SIMPATH, ignored "
                           "elsewhere; the engine is deterministic, so the "
                           "selected seeds are identical at any worker count")
     sel.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -130,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "pool under any parallel engine (--rr-workers/"
                           "--mc-workers/--path-workers); a chunk failing "
                           "this many times is quarantined and the cell "
-                          "FAILED (default: REPRO_BENCH_POOL_RETRIES or 4)")
+                          "FAILED (default 4)")
     sel.add_argument("--resume", default=None, metavar="JOURNAL",
                      help="JSONL checkpoint journal; a cell already recorded "
                           "there is not re-run")
@@ -186,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace", help="summarize a JSONL telemetry trace")
     trace.add_argument("path", help="trace file written via --trace or "
-                                    "REPRO_BENCH_TRACE")
+                                    "a benchmark's trace knob")
     return parser
 
 
@@ -207,7 +210,39 @@ def _cmd_recommend(args) -> int:
     return 0
 
 
+def _env_number(name: str, parse, default):
+    raw = os.environ.get(name, "")
+    try:
+        return parse(raw) if raw else default
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not a valid {parse.__name__}") from None
+
+
+def _env_fault() -> FaultSpec | None:
+    """The chunk fault armed by ``REPRO_FAULT_RATE/MODE/SEED``, or ``None``.
+
+    The package's one read of the environment: the CI chaos job arms
+    worker faults this way.  A malformed value raises ``ValueError``
+    naming the variable rather than silently disarming injection.
+    """
+    mode = os.environ.get("REPRO_FAULT_MODE", "") or "kill"
+    if mode not in FAULT_MODES:
+        raise ValueError(
+            f"REPRO_FAULT_MODE must be one of {', '.join(FAULT_MODES)}, got {mode!r}"
+        )
+    rate = _env_number("REPRO_FAULT_RATE", float, 0.0)
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"REPRO_FAULT_RATE must be in [0, 1], got {rate!r}")
+    seed = _env_number("REPRO_FAULT_SEED", int, 0)
+    return FaultSpec(mode, rate, seed) if rate > 0.0 else None
+
+
 def _cmd_select(args) -> int:
+    with configured(replace(current_config(), fault=_env_fault())):
+        return _select(args)
+
+
+def _select(args) -> int:
     model = diffusion.model_by_name(args.model)
     graph = model.weighted(datasets.load(args.dataset), np.random.default_rng(0))
     params = _parse_params(args.param)

@@ -40,7 +40,6 @@ stream and silently change seeded runs.
 from __future__ import annotations
 
 import abc
-import os
 from collections import OrderedDict
 from typing import Any, Sequence
 
@@ -75,23 +74,16 @@ ORACLE_BACKENDS = ("serial", "batched", "snapshot", "sketch")
 DEFAULT_MEMO_ENTRIES = 1 << 16
 
 
-def _env_entries(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
 class BoundedMemo:
     """LRU-bounded mapping used by every oracle-side memo cache.
 
     A plain dict here is a slow memory leak in a long-lived process: each
     distinct (seed set, node) or seed-set key is kept forever, which is
     invisible in one batch run and unbounded in a server answering
-    millions of queries.  ``max_entries`` (env-tunable per cache) bounds
-    the working set; eviction is least-recently-used, so the hot keys of
-    a greedy run — the committed-prefix queries — stay resident.
+    millions of queries.  ``max_entries`` (default
+    :data:`DEFAULT_MEMO_ENTRIES`, read when the memo is built) bounds the
+    working set; eviction is least-recently-used, so the hot keys of a
+    greedy run — the committed-prefix queries — stay resident.
     """
 
     __slots__ = ("max_entries", "counter", "evictions", "_data")
@@ -100,15 +92,10 @@ class BoundedMemo:
         self,
         max_entries: int | None = None,
         *,
-        env: str | None = None,
         counter: str | None = None,
     ) -> None:
         if max_entries is None:
-            max_entries = (
-                _env_entries(env, DEFAULT_MEMO_ENTRIES)
-                if env
-                else DEFAULT_MEMO_ENTRIES
-            )
+            max_entries = DEFAULT_MEMO_ENTRIES
         self.max_entries = max(1, int(max_entries))
         self.counter = counter
         self.evictions = 0
@@ -300,9 +287,7 @@ class BatchedMCOracle(SpreadOracle):
         self.batch = max(1, int(batch))
         self.workers = workers
         self._entropy = int(rng.integers(0, 2**63 - 1))
-        self._sigma_cache = BoundedMemo(
-            env="REPRO_SIGMA_CACHE_MAX", counter="oracle.sigma_cache_evictions"
-        )
+        self._sigma_cache = BoundedMemo(counter="oracle.sigma_cache_evictions")
 
     def _sigma(self, key: tuple[int, ...]) -> float:
         if not key:
@@ -373,9 +358,7 @@ class SnapshotOracle(SpreadOracle):
                 graph, _dynamics_of(model), self.num_worlds, rng, budget=budget
             )
         self.covered = np.zeros((self.num_worlds, graph.n), dtype=bool)
-        self._sigma_cache = BoundedMemo(
-            env="REPRO_SIGMA_CACHE_MAX", counter="oracle.sigma_cache_evictions"
-        )
+        self._sigma_cache = BoundedMemo(counter="oracle.sigma_cache_evictions")
 
     # -- multi-world reachability --------------------------------------
 
@@ -636,19 +619,16 @@ class GainCache:
     itself: replaying a memoized value would skip RNG draws and silently
     change every subsequent estimate of a seeded run.
 
-    The memo is bounded (``REPRO_GAIN_CACHE_MAX`` entries, LRU): in a
-    resident server every distinct (seed set, node) pair ever queried
-    would otherwise be kept for the life of the process.  The default
-    bound is far above what one selection run generates, so batch-path
-    hit patterns — and therefore seeds — are unchanged.
+    The memo is bounded (``max_entries``, default
+    :data:`DEFAULT_MEMO_ENTRIES`, LRU): in a resident server every
+    distinct (seed set, node) pair ever queried would otherwise be kept
+    for the life of the process.  The default bound is far above what
+    one selection run generates, so batch-path hit patterns — and
+    therefore seeds — are unchanged.
     """
 
     def __init__(self, max_entries: int | None = None) -> None:
-        self._memo = BoundedMemo(
-            max_entries,
-            env="REPRO_GAIN_CACHE_MAX",
-            counter="oracle.gain_cache_evictions",
-        )
+        self._memo = BoundedMemo(max_entries, counter="oracle.gain_cache_evictions")
         self.hits = 0
         self.misses = 0
 

@@ -40,7 +40,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -56,7 +56,7 @@ from .metrics import (
     RunRecord,
     run_with_budget,
 )
-from .pool import pool_retries_env
+from .pool import configured, current_config
 from .results import _jsonable
 from .telemetry import Telemetry
 
@@ -141,11 +141,12 @@ class IsolationConfig:
     #: multiprocessing start method; None picks fork where available.
     start_method: str | None = None
     #: Per-chunk retry budget for the resilient worker pool any engine
-    #: opens inside this cell (``None`` keeps the pool's env default,
-    #: ``REPRO_BENCH_POOL_RETRIES``).  A chunk still failing after this
-    #: many attributable attempts is quarantined and the cell maps to
-    #: ``FAILED`` with the poison chunk identified in
-    #: ``extras["failure"]["pool"]``.
+    #: opens inside this cell (``None`` keeps the enclosing pool config,
+    #: 4 by default).  A chunk still failing after this many attributable
+    #: attempts is quarantined and the cell maps to ``FAILED`` with the
+    #: poison chunk identified in ``extras["failure"]["pool"]``.  Applies
+    #: to the in-process path: an isolated child is daemonic, so its
+    #: pools run their chunks serially and never retry.
     pool_retries: int | None = None
 
 
@@ -235,23 +236,21 @@ def _isolated_worker(
     memory_limit_mb: float | None,
     track_memory: bool,
     telemetry: bool = False,
-    pool_retries: int | None = None,
 ) -> None:
     """Run one cell in the child and ship a plain-dict payload back."""
     try:
         enforcement = _set_memory_rlimit(memory_limit_mb)
-        with pool_retries_env(pool_retries):
-            record, result = run_with_budget(
-                algorithm,
-                graph,
-                k,
-                model,
-                rng=rng,
-                time_limit_seconds=time_limit_seconds,
-                memory_limit_mb=memory_limit_mb,
-                track_memory=track_memory or memory_limit_mb is not None,
-                telemetry=Telemetry(label=algorithm.name) if telemetry else None,
-            )
+        record, result = run_with_budget(
+            algorithm,
+            graph,
+            k,
+            model,
+            rng=rng,
+            time_limit_seconds=time_limit_seconds,
+            memory_limit_mb=memory_limit_mb,
+            track_memory=track_memory or memory_limit_mb is not None,
+            telemetry=Telemetry(label=algorithm.name) if telemetry else None,
+        )
         if memory_limit_mb is not None:
             record.extras["memory_enforcement"] = enforcement or "tracemalloc"
         payload = {
@@ -307,7 +306,10 @@ class IsolatedExecutor:
         rng = np.random.default_rng() if rng is None else rng
         cfg = self.config
         if not cfg.enabled or not isolation_supported(cfg.start_method):
-            with pool_retries_env(cfg.pool_retries):
+            pool_config = current_config()
+            if cfg.pool_retries is not None:
+                pool_config = replace(pool_config, retries=cfg.pool_retries)
+            with configured(pool_config):
                 return run_with_budget(
                     algorithm,
                     graph,
@@ -329,7 +331,7 @@ class IsolatedExecutor:
             args=(
                 send_conn, algorithm, graph, k, model, rng,
                 cfg.time_limit_seconds, cfg.memory_limit_mb, cfg.track_memory,
-                cfg.telemetry, cfg.pool_retries,
+                cfg.telemetry,
             ),
             daemon=True,
         )

@@ -49,9 +49,14 @@ the shared tuple to the executor initializer, once per worker (under
 the ``fork`` start method workers inherit it copy-on-write).  The
 per-chunk dispatch payload is therefore O(1) in graph size.
 
+**Configuration** is explicit: a :class:`PoolConfig` passed to the pool,
+or else the one in effect where the pool is opened — set for a block by
+:func:`configured` (context-local, like a telemetry activation), and
+``PoolConfig()`` outside any block.  Nothing here reads the environment.
+
 :class:`ChunkFaultInjector` is the test harness: rate-controlled
-kill / hang / corrupt / raise faults, armed through ``REPRO_FAULT_*``
-environment variables so they reach the worker wrapper in any process.
+kill / hang / corrupt / raise faults, armed as ``PoolConfig.fault`` for
+the enclosed block and shipped to the worker wrapper with each chunk.
 Fault draws are a deterministic hash of ``(seed, chunk index, attempt)``
 — reproducible, and a retried chunk draws afresh so injected faults are
 transient by construction.  When no injector is armed the wrapper adds
@@ -73,7 +78,8 @@ import zlib
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from contextvars import ContextVar, Token
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, Sequence
 
 from . import telemetry as _telemetry
@@ -87,55 +93,44 @@ __all__ = [
     "run_chunks",
     "ChunkFaultInjector",
     "FaultSpec",
-    "pool_retries_env",
+    "configured",
+    "current_config",
 ]
 
 
 # ----------------------------------------------------------------------
 # Configuration
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
+FAULT_MODES = ("kill", "hang", "corrupt", "raise")
+_FAULT_EXIT_CODE = 113
 
 
-def _env_float(name: str, default: float | None) -> float | None:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
+@dataclass(frozen=True)
+class FaultSpec:
+    """An armed fault: mode, rate, and the deterministic draw seed."""
 
+    mode: str
+    rate: float
+    seed: int = 0
+    hang_seconds: float = 30.0
 
-def _env_bounded(name: str, default: float | None, *, allow_zero: bool) -> float | None:
-    """``_env_float`` that rejects a negative (or, unless ``allow_zero``,
-    a zero) setting instead of letting it misbehave mid-run."""
-    value = _env_float(name, default)
-    if value is not None and (value < 0.0 if allow_zero else value <= 0.0):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise ValueError(f"{name} must be {bound}, got {value!r}")
-    return value
+    def __post_init__(self) -> None:
+        if self.mode not in FAULT_MODES:
+            raise ValueError(
+                f"unknown fault mode {self.mode!r}; options: {', '.join(FAULT_MODES)}"
+            )
+        if not 0.0 <= self.rate <= 1.0:
+            raise ValueError(f"fault rate must be in [0, 1], got {self.rate!r}")
 
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Resilience knobs for one :class:`ResilientPool` run.
+    """Resilience knobs, and any armed fault, for one :class:`ResilientPool` run.
 
-    Defaults come from the environment so a long sweep (or an isolated
-    child re-running a cell) can be tuned without threading a config
-    through every engine constructor:
-
-    * ``REPRO_BENCH_POOL_RETRIES`` → :attr:`retries`
-    * ``REPRO_POOL_MAX_RESTARTS``  → :attr:`max_restarts`
-    * ``REPRO_POOL_STALL_TIMEOUT`` → :attr:`stall_timeout_seconds`
-    * ``REPRO_POOL_BACKOFF``       → :attr:`backoff_seconds`
-
-    A negative backoff or a non-positive stall timeout raises
-    ``ValueError`` naming the variable; a backoff of 0 disables it.
+    Pass one explicitly, or let the pool take the one in effect where it
+    is opened: :func:`configured` sets it for a block, and outside any
+    block it is ``PoolConfig()``.  Out-of-range values raise
+    ``ValueError`` naming the field; a backoff of 0 disables it.
     """
 
     #: Attributable failures (chunk exception, corrupt result) tolerated
@@ -151,42 +146,45 @@ class PoolConfig:
     backoff_seconds: float = 0.05
     #: Seconds to wait for a terminated worker before SIGKILL.
     grace_seconds: float = 1.0
+    #: Chunk fault to inject (chaos testing); ``None`` injects nothing.
+    fault: FaultSpec | None = None
 
-    @classmethod
-    def from_env(cls) -> "PoolConfig":
-        return cls(
-            retries=max(1, _env_int("REPRO_BENCH_POOL_RETRIES", cls.retries)),
-            max_restarts=max(0, _env_int("REPRO_POOL_MAX_RESTARTS", cls.max_restarts)),
-            stall_timeout_seconds=_env_bounded(
-                "REPRO_POOL_STALL_TIMEOUT", None, allow_zero=False
-            ),
-            backoff_seconds=_env_bounded(
-                "REPRO_POOL_BACKOFF", cls.backoff_seconds, allow_zero=True
-            ),
-        )
+    def __post_init__(self) -> None:
+        if self.retries < 1:
+            raise ValueError(f"retries must be >= 1, got {self.retries!r}")
+        if self.max_restarts < 0:
+            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts!r}")
+        if self.stall_timeout_seconds is not None and self.stall_timeout_seconds <= 0.0:
+            raise ValueError(
+                f"stall_timeout_seconds must be > 0, got {self.stall_timeout_seconds!r}"
+            )
+        if self.backoff_seconds < 0.0:
+            raise ValueError(
+                f"backoff_seconds must be >= 0, got {self.backoff_seconds!r}"
+            )
+
+
+_CONFIG: ContextVar[PoolConfig] = ContextVar("pool_config", default=PoolConfig())
+
+
+def current_config() -> PoolConfig:
+    """The pool settings in effect here (``PoolConfig()`` outside any scope)."""
+    return _CONFIG.get()
 
 
 @contextmanager
-def pool_retries_env(retries: int | None) -> Iterator[None]:
-    """Scoped override of ``REPRO_BENCH_POOL_RETRIES`` (no-op for ``None``).
+def configured(config: PoolConfig) -> Iterator[PoolConfig]:
+    """Make ``config`` the default of every pool opened in the enclosed block.
 
-    Environment-based so it reaches pools opened anywhere below the
-    current frame — including inside an isolated child, where the
-    executor applies it before running the cell.
+    The setting is context-local: a thread started inside the block sees
+    the defaults, and concurrent threads never see each other's scopes.
+    Scopes nest; the previous one is restored even on exceptions.
     """
-    if retries is None:
-        yield
-        return
-    key = "REPRO_BENCH_POOL_RETRIES"
-    previous = os.environ.get(key)
-    os.environ[key] = str(int(retries))
+    token = _CONFIG.set(config)
     try:
-        yield
+        yield config
     finally:
-        if previous is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = previous
+        _CONFIG.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -211,36 +209,6 @@ class InjectedChunkFault(RuntimeError):
 # ----------------------------------------------------------------------
 # Fault injection
 
-FAULT_MODES = ("kill", "hang", "corrupt", "raise")
-_FAULT_EXIT_CODE = 113
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """An armed fault: mode, rate, and the deterministic draw seed."""
-
-    mode: str
-    rate: float
-    seed: int = 0
-    hang_seconds: float = 30.0
-
-
-def active_fault_spec() -> FaultSpec | None:
-    """The injector armed via ``REPRO_FAULT_*``, or ``None``."""
-    rate = _env_float("REPRO_FAULT_RATE", None)
-    if rate is None or rate <= 0.0:
-        return None
-    mode = os.environ.get("REPRO_FAULT_MODE", "kill")
-    if mode not in FAULT_MODES:
-        return None
-    return FaultSpec(
-        mode=mode,
-        rate=min(1.0, rate),
-        seed=_env_int("REPRO_FAULT_SEED", 0),
-        hang_seconds=_env_float("REPRO_FAULT_HANG_SECONDS", 30.0) or 30.0,
-    )
-
-
 def fault_fires(spec: FaultSpec, index: int, attempt: int) -> bool:
     """Deterministic rate draw for ``(chunk, attempt)``.
 
@@ -257,11 +225,15 @@ def fault_fires(spec: FaultSpec, index: int, attempt: int) -> bool:
 class ChunkFaultInjector:
     """Arm rate-controlled chunk faults for the enclosed block.
 
-    Context manager used by the chaos suite (and the CI chaos job, which
-    arms the same variables externally)::
+    Context manager used by the chaos suite::
 
         with ChunkFaultInjector(mode="kill", rate=0.2, seed=7):
             pool.extend(graph, dynamics, 4000, rng, workers=4)
+
+    For the block it is ``configured(replace(current_config(),
+    fault=..., stall_timeout_seconds=stall_timeout))``, so every pool
+    opened inside injects, including one given an explicit config
+    without a fault of its own.
 
     Modes: ``kill`` (``os._exit`` → ``BrokenProcessPool``), ``hang``
     (sleep ``hang_seconds`` before computing — pair with
@@ -271,14 +243,6 @@ class ChunkFaultInjector:
     downgrade never injects: it is the last-resort correctness path.
     """
 
-    _KEYS = (
-        "REPRO_FAULT_RATE",
-        "REPRO_FAULT_MODE",
-        "REPRO_FAULT_SEED",
-        "REPRO_FAULT_HANG_SECONDS",
-        "REPRO_POOL_STALL_TIMEOUT",
-    )
-
     def __init__(
         self,
         mode: str = "kill",
@@ -287,45 +251,20 @@ class ChunkFaultInjector:
         hang_seconds: float = 2.0,
         stall_timeout: float | None = None,
     ) -> None:
-        if mode not in FAULT_MODES:
-            raise ValueError(
-                f"unknown fault mode {mode!r}; options: {', '.join(FAULT_MODES)}"
-            )
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        self.mode = mode
-        self.rate = rate
-        self.seed = seed
-        self.hang_seconds = hang_seconds
+        self.spec = FaultSpec(mode, rate, seed, hang_seconds)
         self.stall_timeout = stall_timeout
-        self._saved: dict[str, str | None] = {}
+        self._token: Token | None = None
 
     def __enter__(self) -> "ChunkFaultInjector":
-        values = {
-            "REPRO_FAULT_RATE": str(self.rate),
-            "REPRO_FAULT_MODE": self.mode,
-            "REPRO_FAULT_SEED": str(self.seed),
-            "REPRO_FAULT_HANG_SECONDS": str(self.hang_seconds),
-            "REPRO_POOL_STALL_TIMEOUT": (
-                str(self.stall_timeout) if self.stall_timeout is not None else None
-            ),
-        }
-        for key in self._KEYS:
-            self._saved[key] = os.environ.get(key)
-            value = values[key]
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        self._token = _CONFIG.set(replace(
+            current_config(), fault=self.spec,
+            stall_timeout_seconds=self.stall_timeout,
+        ))
         return self
 
     def __exit__(self, *exc) -> bool:
-        for key, previous in self._saved.items():
-            if previous is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = previous
-        self._saved.clear()
+        _CONFIG.reset(self._token)
+        self._token = None
         return False
 
 
@@ -390,6 +329,9 @@ class ResilientPool:
     One instance is cheap and stateless between :meth:`run` calls; the
     module-level :func:`run_chunks` is the one-shot convenience the
     engines use.  See the module docstring for the recovery ladder.
+    ``config=None`` takes :func:`current_config` at construction; a
+    config without a fault still injects the one armed in the scope
+    :meth:`run` is called in.
     """
 
     def __init__(
@@ -397,7 +339,7 @@ class ResilientPool:
         config: PoolConfig | None = None,
         label: str | None = None,
     ) -> None:
-        self.config = config or PoolConfig.from_env()
+        self.config = config or current_config()
         self.label = label or "pool"
 
     # -- public API -----------------------------------------------------
@@ -446,7 +388,7 @@ class ResilientPool:
 
         cfg = self.config
         tele = _telemetry.current()
-        spec = active_fault_spec()
+        spec = cfg.fault or current_config().fault
         tele.count("pool.chunks", n)
         if shared:
             tele.count("pool.transport_pickle")

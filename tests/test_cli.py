@@ -76,3 +76,46 @@ class TestCommands:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+SELECT_RIS = [
+    "select", "--dataset", "nethept", "--model", "WC", "--algorithm", "RIS",
+    "--k", "3", "--mc", "20", "--param", "num_rr_sets=400",
+    "--rr-workers", "2", "--pool-retries", "1",
+]
+
+
+class TestFaultEnvironment:
+    """``repro select`` arms pool faults from ``REPRO_FAULT_*``, read once."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_env(self, monkeypatch):
+        for name in ("REPRO_FAULT_RATE", "REPRO_FAULT_MODE", "REPRO_FAULT_SEED"):
+            monkeypatch.delenv(name, raising=False)
+
+    @pytest.mark.parametrize("name, value", [
+        ("REPRO_FAULT_MODE", "kil"),
+        ("REPRO_FAULT_RATE", "abc"),
+        ("REPRO_FAULT_RATE", "1.5"),
+        ("REPRO_FAULT_RATE", "-0.1"),
+        ("REPRO_FAULT_SEED", "seven"),
+    ])
+    def test_malformed_value_names_the_variable(self, monkeypatch, name, value):
+        monkeypatch.setenv("REPRO_FAULT_RATE", "0.2")
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=name):
+            main(SELECT_RIS)
+
+    def test_armed_raise_fails_the_cell(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_FAULT_MODE", "raise")
+        monkeypatch.setenv("REPRO_FAULT_RATE", "1")
+        assert main(SELECT_RIS) == 1
+        assert "RIS on nethept/WC: FAILED" in capsys.readouterr().out
+
+    def test_isolated_child_runs_pools_serially(self, monkeypatch, capsys):
+        # A daemonic isolated child cannot fan out, so no chunk is ever
+        # injected there and the same armed cell finishes OK.
+        monkeypatch.setenv("REPRO_FAULT_MODE", "raise")
+        monkeypatch.setenv("REPRO_FAULT_RATE", "1")
+        assert main(SELECT_RIS + ["--isolate"]) == 0
+        assert "seeds" in capsys.readouterr().out

@@ -9,6 +9,7 @@ determinism and checkpoint/resume round-trips are exercised the same way.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.framework.metrics import (
     RunRecord,
     run_with_budget,
 )
+from repro.framework.pool import PoolConfig, configured, current_config
 from repro.framework.results import CheckpointJournal, append_record, cell_key
 from repro.framework.runner import IMFramework
 from repro.graph.digraph import DiGraph
@@ -382,6 +384,39 @@ class TestCheckpointResume:
                               journal=CheckpointJournal(path), scope="toy")
         assert EXECUTIONS == [7, 7]  # fully resumed from the journal
         assert again[("Counting", 3)].spread == first[("Counting", 3)].spread
+
+
+class PoolScopeProbe(IMAlgorithm):
+    """Records the pool config in effect inside the cell; may raise."""
+
+    name = "PoolScopeProbe"
+    supported = (Dynamics.IC, Dynamics.LT)
+
+    def __init__(self, fail: bool = False) -> None:
+        self.fail = fail
+        self.seen: list[PoolConfig] = []
+
+    def _select(self, graph, k, model, rng, budget):
+        self.seen.append(current_config())
+        if self.fail:
+            raise RuntimeError("cell failed")
+        return list(range(k)), {}
+
+
+class TestPoolScope:
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_in_process_cell_scopes_pool_retries(self, graph, rng, fail):
+        outer = PoolConfig(max_restarts=1)
+        probe = PoolScopeProbe(fail=fail)
+        with configured(outer):
+            record, __ = execute_cell(
+                probe, graph, 3, WC, rng=rng,
+                config=IsolationConfig(enabled=False, pool_retries=1),
+            )
+            assert current_config() == outer
+        assert probe.seen == [replace(outer, retries=1)]
+        assert record.status == (STATUS_FAILED if fail else STATUS_OK)
+        assert current_config() == PoolConfig()
 
 
 class FaultyCounting(CountingAlgo):

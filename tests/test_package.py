@@ -1,5 +1,8 @@
 """Package-level surface tests: public API exports and the core alias."""
 
+import pathlib
+import re
+
 import repro
 import repro.core as core
 import repro.framework as framework
@@ -47,3 +50,13 @@ class TestPublicSurface:
         ):
             module = importlib.import_module(module_name)
             assert module.__doc__ and len(module.__doc__) > 40
+
+    def test_environment_read_only_by_cli(self):
+        """Settings are passed explicitly; only the CLI reads the environment."""
+        root = pathlib.Path(repro.__file__).parent
+        readers = {
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if re.search(r"\benviron\b|\bgetenv\b", path.read_text())
+        }
+        assert readers <= {"cli.py"}, sorted(readers)

@@ -25,7 +25,7 @@ from repro.diffusion.models import WC
 from repro.diffusion.simulation import monte_carlo_spread
 from repro.framework.isolation import IsolationConfig, execute_cell
 from repro.framework.metrics import STATUS_FAILED
-from repro.framework.pool import ChunkFaultInjector
+from repro.framework.pool import ChunkFaultInjector, PoolConfig, configured
 from repro.framework.telemetry import Telemetry, activate
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
@@ -125,13 +125,11 @@ class TestByteIdenticalUnderFaults:
 
 
 class TestDegradationLadder:
-    def test_engine_downgrades_to_serial_when_restarts_exhausted(
-        self, graph, monkeypatch
-    ):
+    def test_engine_downgrades_to_serial_when_restarts_exhausted(self, graph):
         baseline = select_seeds(RIS(num_rr_sets=600, rr_workers=3), graph, 4)
-        monkeypatch.setenv("REPRO_POOL_MAX_RESTARTS", "0")
         tele = Telemetry()
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=1.0, seed=0):
+        with configured(PoolConfig(max_restarts=0)), activate(tele), \
+                ChunkFaultInjector(mode="kill", rate=1.0, seed=0):
             faulted = select_seeds(RIS(num_rr_sets=600, rr_workers=3), graph, 4)
         assert faulted == baseline
         assert tele.counters["pool.serial_downgrades"] >= 1
@@ -194,14 +192,14 @@ class TestArenaChaosSuite:
         assert tele.counters["pool.transport_pickle"] >= 1
         assert "pool.transport_shm" not in tele.counters
 
-    def test_serial_downgrade_rung_with_arena(self, graph, monkeypatch):
+    def test_serial_downgrade_rung_with_arena(self, graph):
         """Restarts exhausted under a 100% kill rate: shared args went
         through the initializer first, then the serial rung runs on the
         original objects."""
         baseline = select_seeds(RIS(num_rr_sets=600, rr_workers=3), graph, 4)
-        monkeypatch.setenv("REPRO_POOL_MAX_RESTARTS", "0")
         tele = Telemetry()
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=1.0, seed=0):
+        with configured(PoolConfig(max_restarts=0)), activate(tele), \
+                ChunkFaultInjector(mode="kill", rate=1.0, seed=0):
             faulted = select_seeds(RIS(num_rr_sets=600, rr_workers=3), graph, 4)
         assert faulted == baseline
         assert tele.counters["pool.serial_downgrades"] >= 1

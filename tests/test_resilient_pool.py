@@ -3,7 +3,7 @@
 The pool is the single process fan-out substrate under all three engines,
 so these tests pin its contract directly: chunk-order results, bounded
 retry with quarantine, executor-collapse salvage, serial downgrade, the
-once-per-worker shared-args transport, env configuration, and — the
+once-per-worker shared-args transport, scoped configuration, and — the
 regression that motivated it — no orphan worker processes after a
 mid-iteration interrupt.
 
@@ -15,6 +15,7 @@ deterministic, not flaky.
 
 import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
@@ -30,9 +31,9 @@ from repro.framework.pool import (
     PoolConfig,
     PoolError,
     ResilientPool,
-    active_fault_spec,
+    configured,
+    current_config,
     fault_fires,
-    pool_retries_env,
     run_chunks,
 )
 from repro.framework.telemetry import Telemetry, activate
@@ -57,6 +58,32 @@ def _sleep_then(value, seconds):
 
 def _always_raise(x):
     raise ValueError(f"chunk {x} is poison")
+
+
+def _gated_square(x, gate):
+    return x * x
+
+
+def _wait_for_file(path, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return path
+
+
+class _FileGate:
+    """Chunk argument that holds the worker unpickling it until ``path`` exists.
+
+    A worker unpickles a chunk's arguments before the fault wrapper runs,
+    so the chunk carrying the gate cannot start — or be killed — until
+    the parent creates the file.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return _wait_for_file, (self.path,)
 
 
 def _fail_first_attempts(state_dir, index, needed):
@@ -164,13 +191,22 @@ class TestFaultRecovery:
 
     BASELINE = [i * i for i in range(6)]
 
-    def test_kill_salvages_and_restarts(self):
+    def test_kill_salvages_and_restarts(self, tmp_path):
         tele = Telemetry()
-        # seed 79 @ rate .25: only chunk 5 is killed, on attempt 0.  With 2
-        # workers the first five chunks complete and commit before chunk 5
-        # runs, so exactly 5 results are salvaged across the restart.
+        gate = str(tmp_path / "gate")
+        committed = []
+
+        def tick():
+            committed.append(1)
+            if len(committed) == 5:
+                open(gate, "w").close()
+
+        # seed 79 @ rate .25: only chunk 5 is killed, on attempt 0.  Chunk
+        # 5 is gated on the parent's fifth commit, so chunks 0-4 have all
+        # committed when it dies and exactly 5 results are salvaged.
+        args = [(i, None) for i in range(5)] + [(5, _FileGate(gate))]
         with activate(tele), ChunkFaultInjector(mode="kill", rate=0.25, seed=79):
-            out = run_chunks(_square, [(i,) for i in range(6)], workers=2)
+            out = run_chunks(_gated_square, args, workers=2, tick=tick)
         assert out == self.BASELINE
         assert tele.counters["pool.worker_restarts"] == 1
         assert tele.counters["pool.chunks_salvaged"] == 5
@@ -246,45 +282,75 @@ class TestSharedArgs:
 
 
 class TestConfiguration:
-    def test_pool_config_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_POOL_RETRIES", "7")
-        monkeypatch.setenv("REPRO_POOL_MAX_RESTARTS", "2")
-        monkeypatch.setenv("REPRO_POOL_STALL_TIMEOUT", "1.5")
-        cfg = PoolConfig.from_env()
-        assert cfg.retries == 7
-        assert cfg.max_restarts == 2
-        assert cfg.stall_timeout_seconds == 1.5
+    def test_zero_backoff_is_honoured(self):
+        assert PoolConfig(backoff_seconds=0.0).backoff_seconds == 0.0
 
-    def test_zero_backoff_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_BACKOFF", "0")
-        assert PoolConfig.from_env().backoff_seconds == 0.0
-
-    @pytest.mark.parametrize("name, value", [
-        ("REPRO_POOL_BACKOFF", "-1"),
-        ("REPRO_POOL_STALL_TIMEOUT", "0"),
-        ("REPRO_POOL_STALL_TIMEOUT", "-5"),
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("backoff_seconds", -1.0, id="negative_backoff"),
+        pytest.param("stall_timeout_seconds", 0.0, id="zero_stall_timeout"),
+        pytest.param("stall_timeout_seconds", -5.0, id="negative_stall_timeout"),
+        pytest.param("retries", 0, id="zero_retries"),
+        pytest.param("max_restarts", -1, id="negative_max_restarts"),
     ])
-    def test_out_of_range_env_rejected(self, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(ValueError, match=name):
-            PoolConfig.from_env()
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PoolConfig(**{field: value})
 
-    def test_pool_retries_env_scoped_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_POOL_RETRIES", raising=False)
-        with pool_retries_env(9):
-            assert PoolConfig.from_env().retries == 9
-        assert PoolConfig.from_env().retries == PoolConfig().retries
-        with pool_retries_env(None):  # no-op passthrough
-            assert PoolConfig.from_env().retries == PoolConfig().retries
+    def test_configured_scope_override(self):
+        assert current_config() == PoolConfig()
+        with configured(PoolConfig(retries=9)):
+            assert current_config().retries == 9
+            assert ResilientPool().config.retries == 9
+            with configured(PoolConfig(retries=2)):
+                assert ResilientPool().config.retries == 2
+            assert current_config().retries == 9
+        assert current_config() == PoolConfig()
+        assert ResilientPool().config == PoolConfig()
 
-    def test_injector_arms_and_restores_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
-        assert active_fault_spec() is None
-        with ChunkFaultInjector(mode="raise", rate=0.5, seed=3):
-            spec = active_fault_spec()
-            assert spec is not None
-            assert (spec.mode, spec.rate, spec.seed) == ("raise", 0.5, 3)
-        assert active_fault_spec() is None
+    def test_scope_restored_when_block_raises(self):
+        with pytest.raises(RuntimeError):
+            with configured(PoolConfig(retries=9)):
+                raise RuntimeError("boom")
+        assert current_config() == PoolConfig()
+
+    def test_thread_started_in_scope_sees_defaults(self):
+        seen = []
+        with configured(PoolConfig(retries=9)):
+            thread = threading.Thread(target=lambda: seen.append(current_config()))
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [PoolConfig()]
+
+    def test_concurrent_thread_scopes_are_isolated(self):
+        both_open = threading.Barrier(2)
+        seen = {}
+
+        def worker(retries):
+            with configured(PoolConfig(retries=retries)):
+                both_open.wait(timeout=10)
+                seen[retries] = current_config().retries
+                both_open.wait(timeout=10)
+
+        threads = [threading.Thread(target=worker, args=(r,)) for r in (2, 7)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {2: 2, 7: 7}
+        assert current_config() == PoolConfig()
+
+    def test_injector_arms_and_restores_scope(self):
+        assert current_config().fault is None
+        with configured(PoolConfig(max_restarts=1)):
+            with ChunkFaultInjector(mode="raise", rate=0.5, seed=3, stall_timeout=2.0):
+                cfg = current_config()
+                assert cfg.fault == FaultSpec("raise", 0.5, 3, hang_seconds=2.0)
+                assert cfg.stall_timeout_seconds == 2.0
+                assert cfg.max_restarts == 1
+            assert current_config() == PoolConfig(max_restarts=1)
+        assert current_config().fault is None
 
     def test_injector_rejects_bad_modes(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from repro import algorithms
 from repro.datasets import load as load_dataset
 from repro.diffusion import model_by_name
+from repro.diffusion import oracle as oracle_module
 from repro.diffusion.models import Dynamics
 from repro.diffusion.oracle import (
     BatchedMCOracle,
@@ -64,9 +65,9 @@ def test_bounded_memo_caps_entries_lru():
     assert 3 not in memo and 2 in memo
 
 
-def test_bounded_memo_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_TEST_MEMO_MAX", "2")
-    memo = BoundedMemo(env="REPRO_TEST_MEMO_MAX")
+def test_bounded_memo_default_bound(monkeypatch):
+    monkeypatch.setattr(oracle_module, "DEFAULT_MEMO_ENTRIES", 2)
+    memo = BoundedMemo()
     memo.put("a", 1)
     memo.put("b", 2)
     memo.put("c", 3)
@@ -87,13 +88,12 @@ def test_gain_cache_bounded_under_distinct_queries(two_cliques):
     assert stats["entries"] <= 64
 
 
-def test_gain_cache_10k_distinct_queries_bounded(star_graph, monkeypatch):
-    monkeypatch.setenv("REPRO_GAIN_CACHE_MAX", "64")
+def test_gain_cache_10k_distinct_queries_bounded(star_graph):
     oracle = SnapshotOracle(
         star_graph, model_by_name("IC"), num_worlds=2,
         rng=np.random.default_rng(0),
     )
-    cache = GainCache()
+    cache = GainCache(max_entries=64)
     # 10k queries cycling through >64 distinct (extra-set, node) keys.
     n = star_graph.n
     for i in range(10_000):
@@ -104,7 +104,7 @@ def test_gain_cache_10k_distinct_queries_bounded(star_graph, monkeypatch):
 
 
 def test_sigma_caches_bounded_10k_distinct(two_cliques, monkeypatch):
-    monkeypatch.setenv("REPRO_SIGMA_CACHE_MAX", "16")
+    monkeypatch.setattr(oracle_module, "DEFAULT_MEMO_ENTRIES", 16)
     model = model_by_name("IC")
     snap = SnapshotOracle(
         two_cliques, model, num_worlds=2, rng=np.random.default_rng(0)
