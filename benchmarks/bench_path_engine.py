@@ -8,10 +8,13 @@ largest catalog dataset:
   every LDAG (LDAG, LT analogue) of the graph, legacy per-root dict/heap
   loop vs the batched kernel vs the kernel fanned over ``path_workers``
   processes;
-* **greedy selection** — full k-seed selection per technique,
-  ``engine="legacy"`` vs ``engine="flat"``, with the decoupled MC spread
-  as the quality column.  The engine is a bit-identical drop-in, so the
-  seed sets must agree exactly — the bench asserts it.
+* **greedy selection** — full k-seed selection per technique, the legacy
+  dict/heap reference vs the engine, with the decoupled MC spread as the
+  quality column.  The engine is a bit-identical drop-in, so the seed
+  sets must agree exactly — the bench asserts it.
+
+The legacy baselines are the reference implementations in
+``tests/oracles.py``.
 
 Knobs:
 
@@ -30,11 +33,12 @@ import time
 import numpy as np
 
 from repro.algorithms.irie import IRIE
-from repro.algorithms.ldag import LDAG, build_ldag
-from repro.algorithms.pmia import PMIA, build_miia
+from repro.algorithms.ldag import LDAG
+from repro.algorithms.pmia import PMIA
 from repro.datasets import catalog
 from repro.diffusion.models import WC, LT
 from repro.diffusion.paths import build_dag_store, build_tree_store
+from tests.oracles import REFERENCE_SELECT, build_ldag, build_miia
 
 from _common import BENCH_PATH_WORKERS, emit, evaluate_spread, once
 
@@ -71,16 +75,12 @@ def _greedy_rows(graph_wc, graph_lt):
     for cls, model, graph in ((PMIA, WC, graph_wc), (LDAG, LT, graph_lt),
                               (IRIE, WC, graph_wc)):
         start = time.perf_counter()
-        legacy = cls(engine="legacy").select(
-            graph, K, model, rng=np.random.default_rng(0)
-        )
+        legacy_seeds = REFERENCE_SELECT[cls.name](graph, K)
         t_legacy = time.perf_counter() - start
         start = time.perf_counter()
-        flat = cls(engine="flat").select(
-            graph, K, model, rng=np.random.default_rng(0)
-        )
+        flat = cls().select(graph, K, model, rng=np.random.default_rng(0))
         t_flat = time.perf_counter() - start
-        assert flat.seeds == legacy.seeds, (
+        assert flat.seeds == legacy_seeds, (
             f"{cls.name}: flat engine diverged from legacy seeds"
         )
         quality = evaluate_spread(graph, flat.seeds, model).mean

@@ -5,8 +5,9 @@ Not a paper figure: this bench validates the engine the RR-sketch family
 analogue, then measures
 
 * vectorized flat-CSR ``greedy_max_cover`` against the legacy
-  list-walking cover (byte-identical seeds are asserted first — the
-  speedup is only meaningful if the answers agree), and
+  list-walking cover, ``reference_max_cover`` in ``tests/oracles.py``
+  (byte-identical seeds are asserted first — the speedup is only
+  meaningful if the answers agree), and
 * serial vs. worker-pool RR sampling throughput plus the pool's flat-CSR
   memory footprint (``FlatRRPool.nbytes``).
 
@@ -29,8 +30,8 @@ import numpy as np
 
 from repro.diffusion.models import Dynamics, WC
 from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover
-from repro.diffusion.rrsets import RRCollection, greedy_max_cover_legacy
 from repro.graph.generators import build, powerlaw_configuration
+from tests.oracles import reference_max_cover, rr_lists
 
 from _common import emit, once
 
@@ -103,19 +104,16 @@ def _run():
     ]
 
     # -- cover speedup: flat vectorized vs legacy list-walking ----------
-    # Rebuild the pool as an RRCollection and pre-materialize its list
-    # caches so the legacy timing measures the cover walk, not the
-    # CSR->list conversion.
-    legacy_pool = RRCollection(graph.n)
-    legacy_pool.absorb(serial)
-    __ = legacy_pool.sets, legacy_pool.member_of
+    # Materialize the list views up front so the legacy timing measures
+    # the cover walk, not the CSR->list conversion.
+    lists = rr_lists(serial)
     degree = graph.out_degree()
 
     flat_result, t_flat = _timed(
         lambda: greedy_max_cover(serial, K, pad_priority=degree)
     )
     legacy_result, t_legacy = _timed(
-        lambda: greedy_max_cover_legacy(legacy_pool, K, pad_priority=degree)
+        lambda: reference_max_cover(serial, K, pad_priority=degree, lists=lists)
     )
     assert flat_result == legacy_result, "flat and legacy covers disagree"
     speedup = t_legacy / t_flat

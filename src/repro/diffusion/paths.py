@@ -3,44 +3,45 @@
 The proxy-based techniques all start from the same primitive: bounded
 max-product Dijkstra — the best path-propagation probability ``pp`` from a
 source to every node whose product stays above a threshold (θ of PMIA,
-η of LDAG, the 1/320 AP cutoff of IRIE's IE step).  The legacy helpers
-(`max_probability_paths`, ``build_miia``, ``build_ldag``) run one Python
-``dict`` + ``heapq`` loop per source; this module replaces them with a
-**batched frontier-relaxation kernel** processing many sources per call
-over the shared CSR gathers, plus flat **local-structure stores** whose
-ap/alpha dynamic programs are vectorized array sweeps.
+η of LDAG, the 1/320 AP cutoff of IRIE's IE step).  The reference
+implementations in ``tests/oracles.py`` run one Python ``dict`` +
+``heapq`` loop per source; this module is the one engine the techniques
+run on: a **batched frontier-relaxation kernel** processing many sources
+per call over the shared CSR gathers, plus flat **local-structure
+stores** whose ap/alpha dynamic programs are vectorized array sweeps.
 
 Exactness guarantees (the engine is a drop-in, not an approximation):
 
-* ``pp`` values are *bitwise* identical to the legacy helpers.  Both
+* ``pp`` values are *bitwise* identical to the reference helpers.  Both
   compute each candidate as ``pp(parent) * w`` — the same left-to-right
   float product along the same winning path — and take the max over the
   same candidate set; scatter-max and a binary heap agree on maxima.
 * The **settle order** (which fixes PMIA's processing order, LDAG's edge
   orientation and all downstream float-accumulation orders) is replayed
-  exactly.  Legacy order is non-increasing in ``pp``; inside a plateau of
-  equal ``pp`` it is *chronological heap order*: nodes reached from a
+  exactly.  Reference order is non-increasing in ``pp``; inside a plateau
+  of equal ``pp`` it is *chronological heap order*: nodes reached from a
   strictly-higher plateau are present from the start and pop by id, while
   nodes reached through an intra-plateau weight-1-style edge only become
   poppable once their achiever settles.  The kernel sorts by
   ``(-pp, id)`` and then replays only the plateaus that contain a member
   without an external achiever with a tiny heap simulation (rare: it
   requires an exact ``pp(x) * w == pp(y)`` tie with ``pp(x) == pp(y)``).
-* **Parents** follow the legacy last-writer rule: the achiever
+* **Parents** follow the reference last-writer rule: the achiever
   (``pp(x) * w == pp(y)`` exactly, conducting) with the earliest settle
-  rank.  PMIA's children lists are rebuilt in legacy dict-insertion
-  order — first-push order, i.e. sorted by ``(first pusher's settle
-  rank, child id)`` (in-CSR slices list sources in ascending id order).
+  rank.  PMIA's children lists are rebuilt in the reference's
+  dict-insertion order — first-push order, i.e. sorted by ``(first
+  pusher's settle rank, child id)`` (in-CSR slices list sources in
+  ascending id order).
 * **Blocked nodes** (PMIA's prefix exclusion) receive a ``pp`` and a
   settle position but conduct nothing: they are dropped from frontier
-  expansion and from achiever/pusher candidacy, exactly like the legacy
-  ``continue`` after settling.
+  expansion and from achiever/pusher candidacy, exactly like the
+  reference's ``continue`` after settling.
 
 The structure stores keep each arborescence/DAG as small arrays in settle
 order with a per-structure edge list pre-sorted for the sweeps; the
 ap/alpha passes then process one settle *rank* at a time across every
 structure, with ``np.add.at`` / ``np.multiply.at`` (element-order
-sequential) reproducing the legacy per-node accumulation order exactly.
+sequential) reproducing the reference per-node accumulation order exactly.
 
 Incremental invalidation: the greedy loops key dirty sets off the
 ``containing[]`` inverted index (node → structures it appears in); each
@@ -104,7 +105,7 @@ def _scatter_max(pp: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> np.ndarr
 class PathBatch:
     """Flat per-source CSR of bounded max-probability paths.
 
-    For source ``i``, ``slice(i)`` covers nodes in exact legacy settle
+    For source ``i``, ``slice(i)`` covers nodes in exact reference settle
     order (the source itself first).  ``parent_pos`` indexes into the same
     slice (-1 for the source); ``parent_w`` is the weight of the edge to
     the parent; ``first_rank`` is the settle rank of the first pusher
@@ -135,7 +136,7 @@ class PathBatch:
         return slice(int(self.ptr[i]), int(self.ptr[i + 1]))
 
     def pp_dict(self, i: int) -> dict[int, float]:
-        """``{node: pp}`` excluding the source — legacy helper shape."""
+        """``{node: pp}`` excluding the source, as the reference returns."""
         sl = self.slice(i)
         return {
             int(u): float(p)
@@ -450,8 +451,9 @@ class LocalTree:
     """One MIIA arborescence in flat form (nodes in settle order, root first).
 
     ``e_*`` lists the child→parent edges sorted by (parent position,
-    first-push rank, child id) — legacy children-list order — so the tree
-    DPs can multiply sibling misses in the exact legacy sequence.
+    first-push rank, child id) — the reference children-list order — so
+    the tree DPs can multiply sibling misses in the exact reference
+    sequence.
     """
 
     __slots__ = ("root", "nodes", "pp", "parent_pos", "parent_w",
@@ -477,7 +479,7 @@ class LocalDag:
 
     Edges are the kept graph edges (y → x with rank(y) > rank(x)) as
     (target position, source position, weight), sorted by target position
-    with the in-CSR order preserved inside each target — the legacy
+    with the in-CSR order preserved inside each target — the reference
     ``in_edges[x]`` accumulation order.
     """
 
@@ -683,9 +685,9 @@ class TreeStore(_StoreBase):
     def gains(self, idxs: list[int], in_seed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-structure ``(nodes, gain)`` for non-seed members.
 
-        The DP replays the legacy tree passes rank-by-rank: ap leaves
+        The DP replays the reference tree passes rank-by-rank: ap leaves
         first (sibling misses multiplied in children order), alpha root
-        first (total-miss / own-miss with the legacy tiny-miss fallback).
+        first (total-miss / own-miss with the reference tiny-miss fallback).
         """
         with _tele().span("paths.ap_sweep"):
             return self._gains(idxs, in_seed)
@@ -772,7 +774,7 @@ class DagStore(_StoreBase):
 
         ap: rank-descending sweep of ``min(Σ ap(y)·w, 1)`` (in-CSR order
         inside each target); alpha: rank-ascending propagation stopping
-        at seeds — both in legacy float-accumulation order.
+        at seeds — both in the reference float-accumulation order.
         """
         with _tele().span("paths.ap_sweep"):
             return self._gains(idxs, in_seed)

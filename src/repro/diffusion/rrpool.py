@@ -26,8 +26,8 @@ draw from different streams and agree only distributionally (see
 ``greedy_max_cover`` is vectorized: per-node coverage counts live in one
 int64 array updated with ``np.bincount`` over the members of newly
 covered sets, so an iteration costs array ops instead of nested Python
-loops.  It is seed-for-seed identical to the legacy list-based cover
-(kept in :mod:`repro.diffusion.rrsets` as the reference implementation).
+loops.  It is seed-for-seed identical to the list-walking reference cover
+in ``tests/oracles.py`` (``reference_max_cover``).
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ class FlatRRPool:
         """Inverted ``(node_ptr, node_sets)`` CSR, built lazily.
 
         Within a node's slice, set ids appear in insertion order (the
-        argsort is stable), matching the legacy ``member_of`` lists.
+        argsort is stable), matching the reference cover's ``member_of`` lists.
         """
         if self._node_ptr is None:
             with _tele().span("rrpool.invert_index"):

@@ -60,3 +60,24 @@ class TestPublicSurface:
             if re.search(r"\benviron\b|\bgetenv\b", path.read_text())
         }
         assert readers <= {"cli.py"}, sorted(readers)
+
+    def test_one_implementation_per_engine(self):
+        """Reference implementations live in tests/oracles.py, not in src/."""
+        import importlib
+        import pkgutil
+
+        import pytest
+
+        from repro.algorithms import registry
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.diffusion.rrsets")
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith(".__main__"):
+                continue  # importing it runs the CLI
+            module = importlib.import_module(info.name)
+            for name in getattr(module, "__all__", ()):
+                assert "legacy" not in name.lower(), f"{info.name}.{name}"
+                assert "RRCollection" not in name, f"{info.name}.{name}"
+        for name in ("PMIA", "LDAG", "IRIE"):
+            assert not registry.accepts_parameter(name, "engine"), name

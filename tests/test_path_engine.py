@@ -1,8 +1,9 @@
-"""The vectorized path-proxy engine vs the legacy dict/heap helpers.
+"""The vectorized path-proxy engine vs the dict/heap references.
 
-The engine promises *exact* equivalence (bitwise pp, identical settle
-order, identical parents), so every comparison here is ``==`` — no
-tolerances except where the contract itself states one.
+The references live in ``tests/oracles.py``.  The engine promises *exact*
+equivalence (bitwise pp, identical settle order, identical parents), so
+every comparison here is ``==`` — no tolerances except where the contract
+itself states one.
 """
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.irie import IRIE, max_probability_paths
-from repro.algorithms.ldag import LDAG, build_ldag
-from repro.algorithms.pmia import PMIA, build_miia
+from repro.algorithms.irie import IRIE
+from repro.algorithms.ldag import LDAG
+from repro.algorithms.pmia import PMIA
 from repro.diffusion.models import WC, LT
 from repro.diffusion.paths import (
     DagStore,
@@ -25,6 +26,13 @@ from repro.diffusion.paths import (
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
+from tests.oracles import (
+    REFERENCE_SELECT,
+    build_ldag,
+    build_miia,
+    max_probability_paths,
+    reference_irie_select,
+)
 
 THETA = 1.0 / 320.0
 
@@ -238,12 +246,7 @@ class TestTreeStore:
             store.gains(list(range(len(store))), in_seed)
         ):
             arb = build_miia(g, store.structures[i].root, THETA)
-            PMIA._forward_ap(arb, in_seed)
-            PMIA._backward_alpha(arb, in_seed)
-            legacy = {
-                u: arb.alpha[u] * (1.0 - arb.ap[u])
-                for u in arb.order if not in_seed[u]
-            }
+            legacy = arb.gains(in_seed)
             got = dict(zip(nodes.tolist(), gains.tolist()))
             assert got.keys() == legacy.keys()
             for u, gain in legacy.items():
@@ -305,13 +308,10 @@ class TestDagStore:
         store = build_dag_store(g, THETA)
         in_seed = np.zeros(g.n, dtype=bool)
         in_seed[[2, 9]] = True
-        ldag = LDAG(eta=THETA)
         for i, (nodes, gains) in enumerate(
             store.gains(list(range(len(store))), in_seed)
         ):
-            legacy = ldag._dag_gains(
-                build_ldag(g, store.structures[i].root, THETA), in_seed
-            )
+            legacy = build_ldag(g, store.structures[i].root, THETA).gains(in_seed)
             got = dict(zip(nodes.tolist(), gains.tolist()))
             assert got.keys() == legacy.keys()
             for u, gain in legacy.items():
@@ -331,7 +331,7 @@ class TestDagStore:
 
 
 class TestEngineSelectionParity:
-    """Flat vs legacy seeds on a small weighted graph — must be identical."""
+    """Engine vs reference seeds on a small weighted graph — identical."""
 
     def graph(self, model):
         rng = np.random.default_rng(21)
@@ -347,9 +347,8 @@ class TestEngineSelectionParity:
     @pytest.mark.parametrize("cls,model", [(PMIA, WC), (LDAG, LT), (IRIE, WC)])
     def test_flat_equals_legacy(self, cls, model):
         g = self.graph(model)
-        flat = cls(engine="flat").select(g, 8, model, rng=np.random.default_rng(0))
-        legacy = cls(engine="legacy").select(g, 8, model, rng=np.random.default_rng(0))
-        assert flat.seeds == legacy.seeds
+        flat = cls().select(g, 8, model, rng=np.random.default_rng(0))
+        assert flat.seeds == REFERENCE_SELECT[cls.name](g, 8)
 
 
 class TestIRIETieBreak:
@@ -365,8 +364,6 @@ class TestIRIETieBreak:
                 edges += [(u, v), (v, u)]
                 ws += [0.25, 0.25]
         g = DiGraph.from_edges(6, edges, weights=ws)
-        for engine in ("flat", "legacy"):
-            res = IRIE(engine=engine).select(
-                g, 2, WC, rng=np.random.default_rng(0)
-            )
-            assert res.seeds == [0, 3]
+        res = IRIE().select(g, 2, WC, rng=np.random.default_rng(0))
+        assert res.seeds == [0, 3]
+        assert reference_irie_select(g, 2) == [0, 3]

@@ -1,9 +1,11 @@
-"""Golden seed sets for the path-proxy family, pinned on both engines.
+"""Golden seed sets for the path-proxy family, pinned on the engine and
+on the dict/heap reference implementations in ``tests/oracles.py``.
 
 The reference graph is deterministic (fixed generator + weighting seeds),
 and the four techniques are deterministic given the graph — so these
 exact seed lists must survive any engine change.  A diff here means the
-flat engine stopped being a bit-identical drop-in.
+flat engine stopped being a bit-identical drop-in.  The ``legacy``
+parameter runs the reference.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.algorithms.simpath import SIMPATH
 from repro.diffusion.models import IC, WC, LT
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import preferential_attachment
+from tests.oracles import REFERENCE_SELECT
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +42,14 @@ CLASSES = {"PMIA": PMIA, "LDAG": LDAG, "IRIE": IRIE}
 @pytest.mark.parametrize("engine", ["flat", "legacy"])
 def test_golden_seeds_both_engines(name, engine, ref_graphs):
     model_name, expected = GOLDEN[name]
-    model = MODELS[model_name]
-    result = CLASSES[name](engine=engine).select(
-        ref_graphs[model_name], 10, model, rng=np.random.default_rng(0)
-    )
-    assert result.seeds == expected
+    graph = ref_graphs[model_name]
+    if engine == "flat":
+        seeds = CLASSES[name]().select(
+            graph, 10, MODELS[model_name], rng=np.random.default_rng(0)
+        ).seeds
+    else:
+        seeds = REFERENCE_SELECT[name](graph, 10)
+    assert seeds == expected
 
 
 @pytest.mark.parametrize("vertex_cover", [False, True])

@@ -2,7 +2,8 @@
 
 Marked ``statistical`` like the RR/spread suites: heavier than the unit
 tier, run standalone with ``pytest -m statistical -k path``.  The flat
-engine claims byte-identical seed sets, so every assertion is exact.
+engine claims byte-identical seed sets to the dict/heap references in
+``tests/oracles.py``, so every assertion is exact.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.algorithms.ldag import LDAG
 from repro.algorithms.pmia import PMIA
 from repro.datasets import catalog
 from repro.diffusion.models import IC, WC, LT
+from tests.oracles import REFERENCE_SELECT
 
 pytestmark = pytest.mark.statistical
 
@@ -40,14 +42,10 @@ def _weighted(nethept, model):
 def test_path_engine_matches_legacy_on_nethept(name, model_name, nethept):
     model = MODELS[model_name]
     graph = _weighted(nethept, model)
-    flat = CLASSES[name](engine="flat").select(
-        graph, 10, model, rng=np.random.default_rng(0)
-    )
-    legacy = CLASSES[name](engine="legacy").select(
-        graph, 10, model, rng=np.random.default_rng(0)
-    )
-    assert flat.seeds == legacy.seeds
-    assert flat.seeds == GOLDEN_NETHEPT[(name, model_name)]
+    flat = CLASSES[name]().select(graph, 10, model, rng=np.random.default_rng(0))
+    golden = GOLDEN_NETHEPT[(name, model_name)]
+    assert flat.seeds == golden
+    assert REFERENCE_SELECT[name](graph, 10) == golden
 
 
 def test_path_workers_do_not_change_seeds(nethept):

@@ -16,10 +16,9 @@ import pytest
 
 from repro.diffusion.models import Dynamics, WC
 from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover
-from repro.diffusion.rrsets import greedy_max_cover_legacy
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
-from tests.oracles import exact_spread
+from tests.oracles import exact_spread, reference_max_cover
 
 stats = pytest.importorskip("scipy.stats")
 
@@ -100,7 +99,7 @@ class TestSerialVsParallelDistribution:
 
 
 class TestFlatVsLegacyCover:
-    """Flat-CSR max-cover must be byte-identical to the legacy list cover."""
+    """Flat-CSR max-cover must be byte-identical to the reference list cover."""
 
     @pytest.mark.parametrize("seed", [11, 22, 33, 44, 55])
     def test_identical_seeds_on_randomized_pools(self, powerlaw_graph, seed):
@@ -111,7 +110,7 @@ class TestFlatVsLegacyCover:
         k = int(rng.integers(1, 25))
         degree = powerlaw_graph.out_degree()
         flat_seeds, flat_cov = greedy_max_cover(pool, k, pad_priority=degree)
-        legacy_seeds, legacy_cov = greedy_max_cover_legacy(
+        legacy_seeds, legacy_cov = reference_max_cover(
             pool, k, pad_priority=degree
         )
         assert flat_seeds == legacy_seeds

@@ -5,9 +5,8 @@ import pytest
 
 from repro.diffusion.models import Dynamics, WC
 from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, pad_seeds
-from repro.diffusion.rrsets import RRCollection, greedy_max_cover_legacy
-from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
+from tests.oracles import reference_max_cover
 
 
 def random_pool(n: int, num_sets: int, rng: np.random.Generator) -> FlatRRPool:
@@ -153,7 +152,7 @@ class TestFlatCoverEquivalence:
         pool = random_pool(40, 300, rng)
         k = int(rng.integers(1, 12))
         flat_seeds, flat_cov = greedy_max_cover(pool, k)
-        legacy_seeds, legacy_cov = greedy_max_cover_legacy(pool, k)
+        legacy_seeds, legacy_cov = reference_max_cover(pool, k)
         assert flat_seeds == legacy_seeds
         assert flat_cov == legacy_cov
 
@@ -162,7 +161,7 @@ class TestFlatCoverEquivalence:
         pool.extend(wc_graph, Dynamics.IC, 2000, rng)
         degree = wc_graph.out_degree()
         flat = greedy_max_cover(pool, 10, pad_priority=degree)
-        legacy = greedy_max_cover_legacy(pool, 10, pad_priority=degree)
+        legacy = reference_max_cover(pool, 10, pad_priority=degree)
         assert flat == legacy
 
     def test_empty_pool(self):
@@ -203,27 +202,9 @@ class TestPadPath:
         priority = rng.integers(0, 50, size=12)
         k = 10  # far beyond what the pool can cover — forces the pad path
         assert greedy_max_cover(pool, k, pad_priority=priority) == (
-            greedy_max_cover_legacy(pool, k, pad_priority=priority)
+            reference_max_cover(pool, k, pad_priority=priority)
         )
 
     def test_pad_seeds_helper(self):
         assert pad_seeds([2], 3, 4, np.array([5, 1, 0, 9])) == [2, 3, 0]
 
-
-class TestRRCollectionShim:
-    def test_is_a_flat_pool(self):
-        assert issubclass(RRCollection, FlatRRPool)
-
-    def test_constructor_with_sets(self):
-        pool = RRCollection(4, sets=[np.array([0, 1]), np.array([2])])
-        assert len(pool) == 2
-        assert pool.member_of[0] == [0]
-        assert [s.tolist() for s in pool.sets] == [[0, 1], [2]]
-
-    def test_caches_invalidate_on_add(self):
-        pool = RRCollection(4)
-        pool.add(np.array([0]))
-        assert pool.member_of[0] == [0]
-        pool.add(np.array([0, 1]))
-        assert pool.member_of[0] == [0, 1]
-        assert len(pool.sets) == 2

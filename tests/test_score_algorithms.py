@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms.easyim import EaSyIM
-from repro.algorithms.irie import IRIE, max_probability_paths
+from repro.algorithms.irie import IRIE
 from repro.diffusion.models import IC, LT, WC
 from repro.graph.digraph import DiGraph
+from tests.oracles import max_probability_paths
 
 
 @pytest.fixture
@@ -60,9 +61,28 @@ class TestIRIE:
         with pytest.raises(ValueError):
             IRIE().select(hub_graph, 1, LT, rng=rng)
 
-    def test_invalid_alpha(self):
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"alpha": 1.5},
+            {"iterations": 0},
+            {"iterations": -3},
+            {"ap_threshold": 0.0},
+            {"ap_threshold": -1.0},
+            {"ap_threshold": 2.0},
+        ],
+        ids=[
+            "alpha_above_one",
+            "zero_iterations",
+            "negative_iterations",
+            "zero_ap_threshold",
+            "negative_ap_threshold",
+            "ap_threshold_above_one",
+        ],
+    )
+    def test_invalid_alpha(self, params):
         with pytest.raises(ValueError):
-            IRIE(alpha=1.5)
+            IRIE(**params)
 
     def test_rank_rewards_two_hop_reach(self, rng):
         # 0 -> 1 -> 2 vs 3 -> 4: node 0 has the same out-degree as 3 but a
